@@ -510,16 +510,6 @@ def poly_gcd(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     return from_sympy(g, a.num_vars).normalized()
 
 
-def poly_divides(a: HomogPoly, b: HomogPoly) -> bool:
-    """Exact divisibility a | b over Q."""
-    if a.is_zero():
-        return b.is_zero()
-    if b.is_zero():
-        return True
-    _, r = sp.div(to_sympy(b), to_sympy(a))
-    return r.is_zero
-
-
 # ---------------------------------------------------------------------------
 # square-free part and factorization
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ The two geometric workhorses:
 * ``solve_form_pair`` intersects two coprime ternary forms by projecting
   from a point off both curves (deterministic retry ladder), eliminating via
   a resultant, and splitting fibers exactly over Q where possible and by
-  polished floating roots otherwise.
+  polished floating roots otherwise.  ``solve_form_pair_inexact`` runs the
+  same ladder and splitter on forms with floating coefficients.
 """
 
 from __future__ import annotations
@@ -612,24 +613,50 @@ def solve_form_pair(
     cfg = resolve(cfg)
     if A.num_vars != 3 or B.num_vars != 3:
         raise ArityError("solve_form_pair needs ternary forms")
+    return _projection_ladder(A, B, _shift_form, _on_curve, _exact_directions, cfg)
+
+
+def _on_curve(p: HomogPoly) -> bool:
+    return p.terms.get((0, 0, p.degree)) is None
+
+
+def _exact_directions(
+    As: HomogPoly, Bs: HomogPoly, cfg: Config
+) -> list[tuple[ProjPoint, int]] | None:
+    """Roots of the exact t-resultant, or None if its degree dropped."""
+    R = _resultant_t(As, Bs)
+    if R.is_zero():
+        raise DegenerateEliminationError(
+            "elimination vanished identically; the forms share a component"
+        )
+    if R.degree != As.degree * Bs.degree:
+        return None
+    return binary_roots(R, cfg)
+
+
+def _projection_ladder(
+    A, B, shift, on_curve, directions, cfg: Config
+) -> list[tuple[ProjPoint, int]]:
+    """Project from each center of the ladder until the fibers separate.
+
+    Shared by both solvers, which pass in what differs at a center: the
+    ``shift`` moving it to [0:0:1], the ``on_curve`` test it must fail for
+    both shifted forms, and the ``directions`` (roots of the t-eliminant, or
+    None when the eliminant lost degree).
+    """
     expected = A.degree * B.degree
     failures: list[str] = []
     for a, b in _PROJECTION_SHIFTS[: cfg.max_projection_retries]:
-        As = _shift_form(A, a, b)
-        Bs = _shift_form(B, a, b)
+        As, Bs = shift(A, a, b), shift(B, a, b)
         # the center [0:0:1] must avoid both curves, i.e. full t-degree
-        if As.terms.get((0, 0, As.degree)) is None or Bs.terms.get((0, 0, Bs.degree)) is None:
-            failures.append(f"center ({a},{b}) lies on a curve")
+        if on_curve(As) or on_curve(Bs):
+            failures.append(f"center ({a},{b}) lies on or near a curve")
             continue
-        R = _resultant_t(As, Bs)
-        if R.is_zero():
-            raise DegenerateEliminationError(
-                "elimination vanished identically; the forms share a component"
-            )
-        if R.degree != expected:
+        roots = directions(As, Bs, cfg)
+        if roots is None:
             failures.append(f"center ({a},{b}) dropped resultant degree")
             continue
-        found = _split_fibers(As, Bs, R, a, b, cfg)
+        found = _split_fibers(As, Bs, roots, a, b, cfg)
         if found is None:
             failures.append(f"center ({a},{b}) produced an ambiguous fiber")
             continue
@@ -644,10 +671,11 @@ def solve_form_pair(
 
 
 def _split_fibers(
-    As: HomogPoly, Bs: HomogPoly, R: HomogPoly, a: int, b: int, cfg: Config
+    As, Bs, directions: list[tuple[ProjPoint, int]], a: int, b: int, cfg: Config
 ) -> list[tuple[ProjPoint, int]] | None:
+    """The one intersection point on each direction, or None for a bad center."""
     results: list[tuple[ProjPoint, int]] = []
-    for direction, mult in binary_roots(R, cfg):
+    for direction, mult in directions:
         if direction.exact:
             z0, w0 = direction.coords
             pa = _fiber_poly(As, z0, w0)
@@ -680,6 +708,10 @@ def _split_fibers(
             if not any(pt.is_close(u, cfg.cluster_tol) for u in unique):
                 unique.append(pt)
         if len(unique) != 1:
+            return None
+        # distinct directions carry distinct points: a repeat means one
+        # direction is spurious and a true intersection point went missing
+        if any(unique[0].is_close(pt, cfg.cluster_tol) for pt, _ in results):
             return None
         results.append((unique[0], mult))
     return results
@@ -753,13 +785,13 @@ def curve_intersect(
 class InexactForm:
     """A homogeneous form with floating complex coefficients.
 
-    Arises when a form pair is assembled from genuinely complex scalars
-    (backward fibers over non-real floating points), where the rational
+    Arises when a form pair is assembled from floating scalars (backward
+    fibers over any floating point, real or complex), where the rational
     elimination pipeline cannot run.  Quacks enough like ``HomogPoly``
-    (``terms``, ``degree``, ``evaluate``, ``partial``) for the fiber and
-    Newton machinery above to work unchanged; exact factorization is of
-    course unavailable, so roots and their multiplicities come from
-    clustering instead.
+    (``terms``, ``degree``, ``evaluate``, ``partial``) for the shared
+    projection ladder, fiber splitter and Newton polish above to work
+    unchanged; exact factorization is of course unavailable, so roots and
+    their multiplicities come from clustering instead.
     """
 
     __slots__ = ("num_vars", "terms", "degree")
@@ -904,9 +936,12 @@ def binary_roots_inexact(
     if at_infinity:
         out.append((ProjPoint.inexact([1.0, 0.0]), at_infinity))
     if len(vals) > 1:
-        for mean, mult in _cluster_roots(np.roots(vals), _CLUSTER_GATE):
-            polished = _polish_univariate(vals, mean, cfg.newton_max_steps)
-            out.append((ProjPoint.inexact([polished, 1.0]), mult))
+        for root, mult in _cluster_roots(np.roots(vals), _CLUSTER_GATE):
+            # Newton at a multiple root divides by a vanishing derivative and
+            # lands on a neighbouring root; the cluster mean is kept instead
+            if mult == 1:
+                root = _polish_univariate(vals, root, cfg.newton_max_steps)
+            out.append((ProjPoint.inexact([root, 1.0]), mult))
     return out
 
 
@@ -915,79 +950,32 @@ def solve_form_pair_inexact(
 ) -> list[tuple[ProjPoint, int]]:
     """Common zeros of two floating ternary forms, multiplicities by clustering.
 
-    The floating sibling of ``solve_form_pair``: same projection-center
-    ladder, but the t-resultant is interpolated from Sylvester determinants
-    and root multiplicities come from clustering the resultant's roots.
-    Every returned point is Newton-polished on the shifted system.  Fibers
-    that refuse to separate exhaust the ladder and raise, exactly as in the
-    exact pipeline — never a silently short answer.
+    Runs the projection ladder and fiber splitter of ``solve_form_pair``; at
+    each center only the eliminant differs: the t-resultant is interpolated
+    from Sylvester determinants, and root multiplicities come from clustering
+    its roots.  Every returned point is Newton-polished on the shifted
+    system.  Fibers that refuse to separate exhaust the ladder and raise,
+    exactly as in the exact pipeline — never a silently short answer.
     """
     cfg = resolve(cfg)
     if A.num_vars != 3 or B.num_vars != 3:
         raise ArityError("solve_form_pair_inexact needs ternary forms")
-    expected = A.degree * B.degree
-    failures: list[str] = []
-    for a, b in _PROJECTION_SHIFTS[: cfg.max_projection_retries]:
-        As = _shift_inexact(A, a, b)
-        Bs = _shift_inexact(B, a, b)
-        # the center [0:0:1] must be far from both curves: full t-degree
-        # with a leading coefficient of honest magnitude
-        scale_a = max(abs(c) for c in As.terms.values())
-        scale_b = max(abs(c) for c in Bs.terms.values())
-        if (
-            abs(As.terms.get((0, 0, As.degree), 0j)) < 1e-10 * scale_a
-            or abs(Bs.terms.get((0, 0, Bs.degree), 0j)) < 1e-10 * scale_b
-        ):
-            failures.append(f"center ({a},{b}) lies too near a curve")
-            continue
-        rc = _interp_resultant_t(As, Bs)
-        rtop = max(abs(c) for c in rc)
-        if rtop == 0.0:
-            raise DegenerateEliminationError(
-                "elimination vanished identically; the forms share a component"
-            )
-        directions = binary_roots_inexact(list(rc), cfg)
-        found = _split_fibers_inexact(As, Bs, directions, a, b, cfg)
-        if found is None:
-            failures.append(f"center ({a},{b}) produced an ambiguous fiber")
-            continue
-        total = sum(m for _, m in found)
-        if total != expected:  # pragma: no cover - structural identity
-            failures.append(f"center ({a},{b}) multiplicity sum {total} != {expected}")
-            continue
-        return found
-    raise DegenerateEliminationError(
-        "no projection center separated the intersection: " + "; ".join(failures)
-    )
+    return _projection_ladder(A, B, _shift_inexact, _near_curve, _inexact_directions, cfg)
 
 
-def _split_fibers_inexact(
-    As: InexactForm,
-    Bs: InexactForm,
-    directions: list[tuple[ProjPoint, int]],
-    a: int,
-    b: int,
-    cfg: Config,
-) -> list[tuple[ProjPoint, int]] | None:
-    results: list[tuple[ProjPoint, int]] = []
-    for direction, mult in directions:
-        z0, w0 = direction.to_complex()
-        pa = _fiber_poly(As, z0, w0)
-        pb = _fiber_poly(Bs, z0, w0)
-        points: list[ProjPoint] = []
-        for tau, _ in _match_numeric_fiber(pa, pb, cfg):
-            polished = _newton_system(As, Bs, (z0, w0, complex(tau)), cfg)
-            back = (
-                polished[0] + a * polished[2],
-                polished[1] + b * polished[2],
-                polished[2],
-            )
-            points.append(ProjPoint.inexact(back))
-        unique: list[ProjPoint] = []
-        for pt in points:
-            if not any(pt.is_close(u, cfg.cluster_tol) for u in unique):
-                unique.append(pt)
-        if len(unique) != 1:
-            return None
-        results.append((unique[0], mult))
-    return results
+def _near_curve(p: InexactForm) -> bool:
+    # full t-degree is not enough: the leading coefficient must be of honest
+    # magnitude, or the center sits numerically on the curve
+    scale = max(abs(c) for c in p.terms.values())
+    return abs(p.terms.get((0, 0, p.degree), 0j)) < 1e-10 * scale
+
+
+def _inexact_directions(
+    As: InexactForm, Bs: InexactForm, cfg: Config
+) -> list[tuple[ProjPoint, int]]:
+    rc = _interp_resultant_t(As, Bs)
+    if max(abs(c) for c in rc) == 0.0:
+        raise DegenerateEliminationError(
+            "elimination vanished identically; the forms share a component"
+        )
+    return binary_roots_inexact(list(rc), cfg)

@@ -13,9 +13,8 @@ materializes backward orbits as preimage trees (every node solved to its
 full fiber, multiplicities certified) and audits the bound path by path,
 stratifying passages by order when order-2 data is available.
 
-Fibers over rational points are solved exactly; floating real points are
-lifted to the dyadic rationals they denote and solved exactly as well, so
-only genuinely complex nodes go through the floating elimination pipeline.
+Fibers over rational points are solved exactly; fibers over floating
+points, real or complex, go through the floating elimination pipeline.
 """
 
 from __future__ import annotations
@@ -190,30 +189,12 @@ def preimage_tree(
     return PreimageTree(f=f, root=root, depth=depth)
 
 
-def _real_lift(p: ProjPoint) -> ProjPoint | None:
-    """Exact dyadic lift of a floating point, or None if genuinely complex.
-
-    Floats denote dyadic rationals exactly, so a real floating point can be
-    re-read as the rational point it already is; imaginary dust below 1e-13
-    of the largest coordinate is rounding noise and dropped.
-    """
-    coords = p.to_complex()
-    scale = max(abs(c) for c in coords)
-    if any(abs(c.imag) > 1e-13 * scale for c in coords):
-        return None
-    return ProjPoint.exact_point([Fraction(c.real) for c in coords])
-
-
 def _fiber(
     f: Endomorphism, parent: ProjPoint, cfg: Config
 ) -> list[tuple[ProjPoint, int]]:
     """All preimages of one point with multiplicities summing to deg^k."""
-    exact_parent = parent if parent.exact else _real_lift(parent)
-    if exact_parent is not None:
-        pairs = _fiber_exact(f, exact_parent, cfg)
-    else:
-        pairs = _fiber_inexact(f, parent, cfg)
-    return _gate_fiber(f, parent, exact_parent, pairs, cfg)
+    solve = _fiber_exact if parent.exact else _fiber_inexact
+    return _gate_fiber(f, parent, solve(f, parent, cfg), cfg)
 
 
 def _fiber_exact(
@@ -257,7 +238,6 @@ def _fiber_inexact(
 def _gate_fiber(
     f: Endomorphism,
     parent: ProjPoint,
-    exact_parent: ProjPoint | None,
     pairs: list[tuple[ProjPoint, int]],
     cfg: Config,
 ) -> list[tuple[ProjPoint, int]]:
@@ -268,15 +248,15 @@ def _gate_fiber(
     for x, mult in pairs:
         if x.exact:
             # minor solutions of a morphism are genuine fiber points
-            assert exact_parent is not None and f(x) == exact_parent
+            assert parent.exact and f(x) == parent
             out.append((x, mult))
             continue
-        if exact_parent is not None:
+        if parent.exact:
             snapped = x.snap_to_rational(cfg)
-            if snapped is not None and f(snapped) == exact_parent:
+            if snapped is not None and f(snapped) == parent:
                 out.append((snapped, mult))
                 continue
-        residual = f(x).chordal(exact_parent if exact_parent is not None else parent)
+        residual = f(x).chordal(parent)
         if residual > cfg.residual_tol:
             raise SolverError(
                 f"fiber point {x} misses its parent {parent} by {residual:.2e}"

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -12,9 +13,12 @@ from critfin.errors import BudgetError, InputError
 from critfin.geometry import (
     AlgebraicSet,
     Component,
+    InexactForm,
     Membership,
     ProjPoint,
+    _split_fibers,
     binary_roots,
+    binary_roots_inexact,
     contains,
     curve_image,
     curve_intersect,
@@ -22,6 +26,7 @@ from critfin.geometry import (
     map_point,
     set_equal,
     solve_form_pair,
+    solve_form_pair_inexact,
 )
 
 F_FORMS = [poly_parse("z^2 - w*t"), poly_parse("w^2", 3), poly_parse("t^2", 3)]
@@ -212,6 +217,22 @@ def test_binary_roots_count_matches_degree():
         p = HomogPoly(2, terms)
         roots = binary_roots(p)
         assert sum(m for _, m in roots) == p.degree
+
+
+def test_binary_roots_inexact_keeps_the_mean_of_a_double_root():
+    # z^4 - s^2 z^2 with rounding noise: the double root at 0 splits by about
+    # 1e-8, and a Newton step from the cluster mean divides by a vanishing
+    # derivative and lands on +-s instead
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        s = rng.uniform(0.2, 2.0)
+        coeffs = np.array([1.0, 0.0, -s * s, 0.0, 0.0], dtype=complex)
+        coeffs += 1e-16 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        roots = binary_roots_inexact(list(coeffs))
+        assert sorted(m for _, m in roots) == [1, 1, 2]
+        (double,) = [pt for pt, m in roots if m == 2]
+        z, w = double.to_complex()
+        assert abs(z / w) <= 4e-15
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +452,29 @@ def test_solve_form_pair_finds_full_fibers():
     target = ProjPoint.exact_point(y)
     for pt, _m in sols:
         assert map_point(F_FORMS, pt).chordal(target) < 1e-10
+
+
+def test_solve_form_pair_inexact_splits_a_real_floating_fiber():
+    # preimages of [1/sqrt3 : 1 : 1/sqrt3] under the power map are the four
+    # sign classes [+-a : 1 : +-a], a = 3^(-1/4); projecting from [0:0:1]
+    # puts two of them on each direction, so that center must be refused
+    y = ProjPoint.inexact([3**-0.5, 1.0, 3**-0.5]).to_complex()
+    A = InexactForm.combination(y[1], POWER_FORMS[0], -y[0], POWER_FORMS[1])
+    B = InexactForm.combination(y[1], POWER_FORMS[2], -y[2], POWER_FORMS[1])
+    sols = solve_form_pair_inexact(A, B)
+    assert [m for _, m in sols] == [1, 1, 1, 1]
+    points = [pt for pt, _ in sols]
+    for i, pt in enumerate(points):
+        assert map_point(POWER_FORMS, pt).chordal(ProjPoint.inexact(y)) < 1e-10
+        assert all(pt.chordal(other) > 1e-3 for other in points[:i])
+
+
+def test_split_fibers_refuses_two_directions_with_one_point():
+    # a spurious direction next to a true one polishes onto the same point;
+    # the center must be refused, not the point returned twice
+    A, B, cfg = poly_parse("t - z", 3), poly_parse("t - w", 3), Config()
+    true_dir = ProjPoint.exact_point([1, 1])
+    point = ProjPoint.exact_point([1, 1, 1])
+    assert _split_fibers(A, B, [(true_dir, 1)], 0, 0, cfg) == [(point, 1)]
+    spurious = ProjPoint.inexact([1 + 1e-9, 1.0])
+    assert _split_fibers(A, B, [(true_dir, 1), (spurious, 1)], 0, 0, cfg) is None

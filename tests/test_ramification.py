@@ -131,12 +131,18 @@ def test_quadratic_infinity_chain():
 
 
 def test_fixture_tree_levels_and_fiber_sums():
-    f = f_map()
-    tree = preimage_tree(f, pt(2, 3, 5), depth=3)
-    assert [len(tree.level(j)) for j in range(4)] == [1, 4, 16, 64]
-    for node in walk(tree.root):
-        if node.children:
-            assert sum(c.multiplicity for c in node.children) == 4
+    # power [3:8:3] at depth 4 meets real floating parents whose projections
+    # put two preimages on one direction; none may come back twice
+    for f, root, depth in [(f_map(), pt(2, 3, 5), 3), (power_map(), pt(3, 8, 3), 4)]:
+        tree = preimage_tree(f, root, depth=depth)
+        assert [len(tree.level(j)) for j in range(depth + 1)] == [4**j for j in range(depth + 1)]
+        assert len(tree.paths()) == 4**depth
+        for node in walk(tree.root):
+            if node.children:
+                assert sum(c.multiplicity for c in node.children) == 4
+                kids = [c.point for c in node.children]
+                for i, kid in enumerate(kids):
+                    assert all(kid.chordal(other) > 1e-6 for other in kids[:i])
 
 
 def test_fixture_tree_reaches_complex_nodes():

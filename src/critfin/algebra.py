@@ -495,11 +495,14 @@ def to_sympy(p: HomogPoly) -> sp.Poly:
     )
 
 
+def to_fraction(value) -> Fraction:
+    """A sympy rational (or integer) as a Fraction."""
+    q = sp.Rational(value)
+    return Fraction(int(q.p), int(q.q))
+
+
 def from_sympy(poly: sp.Poly, num_vars: int) -> HomogPoly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for expo, c in poly.as_dict().items():
-        q = sp.Rational(c)
-        terms[tuple(expo)] = Fraction(int(q.p), int(q.q))
+    terms = {tuple(expo): to_fraction(c) for expo, c in poly.as_dict().items()}
     return HomogPoly(num_vars, terms)
 
 
@@ -554,12 +557,35 @@ def square_free(p: HomogPoly) -> HomogPoly:
     return acc.normalized()
 
 
+def _binary_factor_list(p: HomogPoly) -> list[tuple[HomogPoly, int]]:
+    """Factors of a binary form, from the univariate factoring of p(z, 1).
+
+    p(z, 1) drops one degree for each leading zero coefficient of p; that
+    drop is the multiplicity of the factor w (the root at [1 : 0]).  Every
+    other factor is homogenised back to its own degree.
+    """
+    d = p.degree
+    coeffs = [p.terms.get((d - j, j), Fraction(0)) for j in range(d + 1)]
+    w_mult = next(j for j, c in enumerate(coeffs) if c)
+    dehom = sp.Poly(
+        [sp.Rational(c.numerator, c.denominator) for c in coeffs[w_mult:]], _SYMS[0], domain=sp.QQ
+    )
+    pairs = [(HomogPoly.variable(2, 1), w_mult)] if w_mult else []
+    for base, mult in dehom.factor_list()[1]:
+        k = base.degree()
+        terms = {(k - j, j): to_fraction(c) for j, c in enumerate(base.all_coeffs())}
+        pairs.append((HomogPoly(2, terms), int(mult)))
+    return pairs
+
+
 def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
     """Irreducible factorization over Q.
 
-    Inputs above the configured degree cap are refused with BudgetError
-    (factoring cost is the one genuinely superpolynomial step exposed to
-    user-controlled input).
+    A binary form is factored through its dehomogenisation p(z, 1) in one
+    variable, with the power of w read off the degree drop; a ternary form
+    is factored as a multivariate polynomial.  Inputs above the configured
+    degree cap are refused with BudgetError (factoring cost is the one
+    genuinely superpolynomial step exposed to user-controlled input).
     """
     cfg = resolve(cfg)
     if p.is_zero():
@@ -568,13 +594,19 @@ def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
         raise BudgetError(
             f"degree {p.degree} exceeds the factorization cap {cfg.factor_degree_cap}"
         )
-    _, pairs = sp.factor_list(to_sympy(p))
+    if p.num_vars == 2:
+        pairs = _binary_factor_list(p)
+    else:
+        pairs = [
+            (from_sympy(sp.Poly(base, *_SYMS), 3), int(mult))
+            for base, mult in sp.factor_list(to_sympy(p))[1]
+        ]
     bases: list[tuple[HomogPoly, int]] = []
     for base, mult in pairs:
-        q = from_sympy(sp.Poly(base, *_SYMS[: p.num_vars]), p.num_vars).normalized()
+        q = base.normalized()
         if q.degree == 0:
             continue  # content handled through the unit below
-        bases.append((q, int(mult)))
+        bases.append((q, mult))
     bases.sort(key=lambda bm: (bm[0].degree, bm[0].sort_key()))
     lc_product = Fraction(1)
     for base, mult in bases:

@@ -42,6 +42,7 @@ from .algebra import (
     from_sympy,
     monomials_of_degree,
     poly_gcd,
+    to_fraction,
     to_sympy,
 )
 from .config import Config, resolve
@@ -371,8 +372,9 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
     """Projective roots of a binary form with multiplicities.
 
     Rational roots come out exact (from the linear factors of the exact
-    factorization); roots of higher-degree irreducible factors are floating
-    and Newton-polished.
+    factorization, which ``factor`` computes from p(z, 1); the root [1 : 0]
+    is the factor w, with multiplicity the degree drop of p(z, 1)); roots of
+    higher-degree irreducible factors are floating and Newton-polished.
     """
     cfg = resolve(cfg)
     if p.num_vars != 2:
@@ -546,10 +548,9 @@ def _exact_univariate_roots(coeffs: list[Fraction], cfg: Config) -> list[tuple[o
     for base, _m in poly.factor_list()[1]:
         if base.degree() == 1:
             c1, c0 = base.all_coeffs()
-            root = sp.Rational(-c0, c1)
-            out.append((Fraction(int(root.p), int(root.q)), True))
+            out.append((to_fraction(sp.Rational(-c0, c1)), True))
         else:
-            fl = _coeff_floats([Fraction(int(sp.Rational(v).p), int(sp.Rational(v).q)) for v in base.all_coeffs()])
+            fl = _coeff_floats([to_fraction(v) for v in base.all_coeffs()])
             for r in np.roots(fl):
                 out.append((_polish_univariate(fl, complex(r), cfg.newton_max_steps), False))
     return out
@@ -681,7 +682,7 @@ def _split_fibers(
             pa = _fiber_poly(As, z0, w0)
             pb = _fiber_poly(Bs, z0, w0)
             g = sp.gcd(sp.Poly(pa, _TSYM, domain="QQ"), sp.Poly(pb, _TSYM, domain="QQ"))
-            roots = _exact_univariate_roots([Fraction(int(sp.Rational(v).p), int(sp.Rational(v).q)) for v in g.all_coeffs()], cfg)
+            roots = _exact_univariate_roots([to_fraction(v) for v in g.all_coeffs()], cfg)
         else:
             z0, w0 = direction.to_complex()
             pa = _fiber_poly(As, z0, w0)

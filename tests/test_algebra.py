@@ -4,15 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from critfin.algebra import (
+    Factorization,
     HomogPoly,
     factor,
+    from_sympy,
     monomials_of_degree,
     poly_gcd,
     poly_parse,
     resultant,
     square_free,
+    to_sympy,
 )
 from critfin.config import Config
 from critfin.errors import ArityError, BudgetError, InhomogeneityError, ParseError
@@ -202,11 +206,72 @@ def test_factor_reassembles_exactly():
             assert len(refac.factors) == 1 and refac.factors[0][1] == 1
 
 
-def test_factor_respects_degree_cap():
-    p = poly_parse("z", 3) ** 25
-    with pytest.raises(BudgetError):
-        factor(p)
-    factor(p, Config(factor_degree_cap=30))  # raised cap admits it
+def test_factor_respects_degree_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factoring started above the degree cap")
+
+    for num_vars in (2, 3):
+        p = (poly_parse("z - w", num_vars) * poly_parse("z + 2*w", num_vars)) ** 13
+        with monkeypatch.context() as m:
+            m.setattr(sp, "factor_list", refuse)
+            m.setattr(sp.Poly, "factor_list", refuse)
+            with pytest.raises(BudgetError):
+                factor(p)
+        assert factor(p, Config(factor_degree_cap=30)).reassemble() == p  # raised cap admits it
+
+
+def _bivariate_factorization(p: HomogPoly) -> Factorization:
+    """Reference: factor a binary form as a bivariate polynomial, normalise and sort."""
+    _, pairs = sp.factor_list(to_sympy(p))
+    bases = [(from_sympy(sp.Poly(b, *sp.symbols("z w")), 2).normalized(), int(m)) for b, m in pairs]
+    bases = sorted(((b, m) for b, m in bases if b.degree), key=lambda bm: (bm[0].degree, bm[0].sort_key()))
+    lc_product = Fraction(1)
+    for base, mult in bases:
+        lc_product *= base.leading_term()[1] ** mult
+    return Factorization(unit=p.leading_term()[1] / lc_product, factors=tuple(bases))
+
+
+def test_binary_factor_matches_bivariate_factoring():
+    rng = random.Random(61)
+    z, w = HomogPoly.variable(2, 0), HomogPoly.variable(2, 1)
+    roomy = Config(factor_degree_cap=33)  # 3 forms of degree <= 3, cubed, times z^3*w^3
+    for _ in range(300):
+        p = HomogPoly.constant(2, Fraction(rng.choice(NONZERO), rng.randint(1, 7)))
+        for _ in range(rng.randint(1, 3)):
+            p = p * random_form(rng, 2, rng.randint(1, 3)) ** rng.randint(1, 3)
+        p = p * z ** rng.randint(0, 3) * w ** rng.randint(0, 3)
+        assert factor(p, roomy) == _bivariate_factorization(p), str(p)
+
+
+def test_binary_factor_degree_drop_edge_cases():
+    w, z = poly_parse("w", 2), poly_parse("z", 2)
+    # p(z, 1) is a constant: the whole form is a power of w
+    assert factor(poly_parse("-5/2*w^3", 2)) == Factorization(Fraction(-5, 2), ((w, 3),))
+    assert factor(poly_parse("z^2*w^3", 2)) == Factorization(Fraction(1), ((w, 3), (z, 2)))
+    assert factor(poly_parse("3*z - 6*w", 2)) == Factorization(Fraction(3), ((poly_parse("z - 2*w", 2), 1),))
+    assert factor(poly_parse("-2*w", 2)) == Factorization(Fraction(-2), ((w, 1),))
+    assert factor(poly_parse("7*z", 2)) == Factorization(Fraction(7), ((z, 1),))
+
+
+# degree-16 t-eliminant met by find_periodic during `critfin analyze f`
+ANALYZE_F_ELIMINANT = (
+    "-8*z^15*w - 60*z^14*w^2 - 186*z^13*w^3 - 298*z^12*w^4 - 276*z^11*w^5"
+    " - 186*z^10*w^6 - 110*z^9*w^7 + 48*z^8*w^8 + 210*z^7*w^9 + 298*z^6*w^10"
+    " + 276*z^5*w^11 + 186*z^4*w^12 + 118*z^3*w^13 + 12*z^2*w^14 - 24*z*w^15"
+)
+
+
+def test_binary_factor_needs_no_multivariate_factoring(monkeypatch):
+    import sympy.polys.factortools as factortools
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a binary form reached multivariate Hensel lifting")
+
+    p = poly_parse(ANALYZE_F_ELIMINANT, 2)
+    monkeypatch.setattr(factortools, "dmp_zz_wang", refuse)
+    fac = factor(p)
+    assert fac.reassemble() == p
+    assert sum(b.degree * m for b, m in fac.factors) == 16 and len(fac.factors) == 9
 
 
 def test_gcd_of_coprime_forms_is_unit():

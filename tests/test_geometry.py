@@ -187,9 +187,13 @@ def test_map_point_inexact_tracks_exact():
 
 def test_binary_roots_exact_with_multiplicity():
     # z = 0 is the point [0:1], w = 0 is [1:0]
-    roots = binary_roots(poly_parse("z^2*w*(z - w)^3", 2))
-    as_set = {(str(pt), m) for pt, m in roots}
-    assert as_set == {("[0 : 1]", 2), ("[1 : 0]", 1), ("[1 : 1]", 3)}
+    for text, expected in [
+        ("z^2*w*(z - w)^3", {("[0 : 1]", 2), ("[1 : 0]", 1), ("[1 : 1]", 3)}),
+        ("w^2*(z - 3*w)", {("[1 : 0]", 2), ("[3 : 1]", 1)}),
+    ]:
+        roots = binary_roots(poly_parse(text, 2))
+        assert all(pt.exact for pt, _ in roots)
+        assert {(str(pt), m) for pt, m in roots} == expected
 
 
 def test_binary_roots_numeric_residuals():

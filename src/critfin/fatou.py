@@ -8,8 +8,13 @@ postcritical components.  An orbit that sits within the convergence tolerance
 of a cycle for a full window of consecutive steps is ``converged``; one whose
 late iterates approach a postcritical component is ``accumulates-near``;
 everything else is ``undecided``.  Slice renders classify a whole pixel grid
-of start points at once and can be written out as a PPM image with a JSON
-legend sidecar.
+of start points and can be written out as a PPM image with a JSON legend
+sidecar.
+
+The orbit kernel runs the columns in fixed-size tiles, so its working memory
+is O(tile) whatever the number of start points.  It keeps one streak counter
+per orbit, which assumes the target cycles are disjoint: an orbit within the
+convergence tolerance of two cycles at once is refused with ``InputError``.
 """
 
 from __future__ import annotations
@@ -174,59 +179,103 @@ def _eval_forms(all_terms: list[list], coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cycle_anchors(cycles: list[list[ProjPoint]]) -> list[tuple[int, int, np.ndarray]]:
-    """Each cycle member as (cycle id, chart index, chart-normalized lift)."""
-    anchors = []
+def _anchor_charts(
+    cycles: list[list[ProjPoint]],
+) -> list[tuple[int, list[tuple[int, np.ndarray]]]]:
+    """Cycle members grouped by chart: (chart, [(cycle id, chart-normalized lift)])."""
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
     for ci, cycle in enumerate(cycles):
         for p in cycle:
             v = np.asarray(p.to_complex(), dtype=complex)
             chart = int(np.argmax(np.abs(v)))
-            anchors.append((ci, chart, v / v[chart]))
-    return anchors
+            groups.setdefault(chart, []).append((ci, v / v[chart]))
+    return sorted(groups.items())
 
 
-def _cycle_distances(coords: np.ndarray, anchors: list, n_cycles: int) -> np.ndarray:
-    """Distance to each cycle: min over members of chart max-norm distance.
+def _nearest_cycle(coords: np.ndarray, charts: list, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cycle each column lies within ``tol`` of (-1 if none), and that distance.
 
-    The member's own chart anchors the comparison; an orbit point with a
-    vanishing coordinate there is simply far away in that chart.
+    The distance to a cycle is the min over its members of the chart max-norm
+    distance, each member measured in its own chart; an orbit point with a
+    vanishing coordinate there is simply far away in that chart.  A column
+    within ``tol`` of two cycles at once raises ``InputError``: the kernel
+    counts one streak per orbit, which needs the target cycles disjoint.
     """
-    out = np.full((coords.shape[1], n_cycles), np.inf)
+    n = coords.shape[1]
+    cycle = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for ci, chart, anchor in anchors:
-            ratios = coords / coords[chart]
-            diff = np.abs(ratios - anchor[:, None]).max(axis=0)
-            diff = np.where(np.isfinite(diff), diff, np.inf)
-            np.minimum(out[:, ci], diff, out=out[:, ci])
-    return out
+        for chart, members in charts:
+            # the chart's own ratio is 1 wherever it is finite and screens nothing
+            row = 1 if chart == 0 else 0
+            screen = coords[row] / coords[chart]
+            for ci, anchor in members:
+                # the max-norm distance is below tol only if this one
+                # coordinate is, so screen on it before taking the others
+                diff = np.abs(screen - anchor[row])
+                hit = np.flatnonzero(diff < tol)
+                if not hit.size:
+                    continue
+                diff = diff[hit]
+                sub = coords[:, hit]
+                for j in range(len(anchor)):
+                    if j != row:
+                        np.maximum(diff, np.abs(sub[j] / sub[chart] - anchor[j]), out=diff)
+                close = diff < tol
+                hit, diff = hit[close], diff[close]
+                other = cycle[hit]
+                clash = (other >= 0) & (other != ci)
+                if clash.any():
+                    raise InputError(
+                        f"an orbit lies within {tol:g} of target cycles"
+                        f" {int(other[clash][0])} and {ci} at once;"
+                        " target cycles must be disjoint"
+                    )
+                cycle[hit] = ci
+                dist[hit] = np.minimum(dist[hit], diff)
+    return cycle, dist
 
 
-def _curve_residual_batch(poly: HomogPoly, coords: np.ndarray) -> np.ndarray:
-    # same normalization as geometry.curve_residual; the kernel keeps every
-    # lift at unit max-norm, so no per-point rescaling is needed here
-    terms = [(e, complex(c)) for e, c in sorted(poly.terms.items())]
-    norm = float(sum(abs(complex(c)) for _, c in terms))
-    return np.abs(_eval_terms(terms, coords)) / norm
+def _component_probes(comps: list[Component]) -> list[tuple]:
+    """What each component's distance needs, prepared once per kernel call.
+
+    A curve keeps its sorted terms and the coefficient norm of
+    geometry.curve_residual; a point keeps its lift and the lift's norm.
+    """
+    probes = []
+    for comp in comps:
+        if comp.kind == "curve":
+            (terms,) = _form_terms([comp.poly])
+            probes.append((comp.kind, terms, float(sum(abs(c) for _, c in terms))))
+        else:
+            qv = np.asarray(comp.point.to_complex(), dtype=complex)
+            probes.append((comp.kind, qv, math.sqrt(float((np.abs(qv) ** 2).sum()))))
+    return probes
 
 
-def _point_chordal_batch(coords: np.ndarray, q: ProjPoint) -> np.ndarray:
-    qv = np.asarray(q.to_complex(), dtype=complex)
+def _point_chordal_batch(coords: np.ndarray, qv: np.ndarray, qnorm: float) -> np.ndarray:
     wedge = np.zeros(coords.shape[1])
     for i in range(len(qv)):
         for j in range(i + 1, len(qv)):
             wedge += np.abs(coords[i] * qv[j] - coords[j] * qv[i]) ** 2
-    norms = np.sqrt((np.abs(coords) ** 2).sum(axis=0)) * math.sqrt(float((np.abs(qv) ** 2).sum()))
+    norms = np.sqrt((np.abs(coords) ** 2).sum(axis=0)) * qnorm
     return np.sqrt(wedge) / norms
 
 
-def _component_distances(coords: np.ndarray, comps: list[Component]) -> np.ndarray:
-    out = np.empty((coords.shape[1], len(comps)))
-    for j, comp in enumerate(comps):
-        if comp.kind == "curve":
-            out[:, j] = _curve_residual_batch(comp.poly, coords)
+def _component_distances(coords: np.ndarray, probes: list[tuple]) -> np.ndarray:
+    out = np.empty((coords.shape[1], len(probes)))
+    for j, (kind, data, norm) in enumerate(probes):
+        if kind == "curve":
+            # the kernel keeps every lift at unit max-norm, so no per-point
+            # rescaling is needed here
+            out[:, j] = np.abs(_eval_terms(data, coords)) / norm
         else:
-            out[:, j] = _point_chordal_batch(coords, comp.point)
+            out[:, j] = _point_chordal_batch(coords, data, norm)
     return out
+
+
+# columns per tile: the kernel's working memory is O(_TILE), not O(pixels)
+_TILE = 1 << 14
 
 
 def _orbit_kernel(
@@ -236,18 +285,23 @@ def _orbit_kernel(
     max_iter: int,
     cfg: Config,
 ) -> tuple[np.ndarray, ...]:
-    """Iterate every column of ``coords`` at once and classify each orbit.
+    """Iterate every column of ``coords`` and classify each orbit.
 
     Returns per-column arrays: converged cycle index (-1 if none), the step
     of confirmation, the confirming distance, the step at which the lift
     degenerated (0 if never), the nearest-component index over the tail
     window (-1 if unmeasured), and that best tail distance.
+
+    Columns run in tiles of ``_TILE``, so working memory is O(tile) beside
+    the per-column results.  Each orbit keeps one streak counter and the
+    cycle it counts toward, which assumes the target cycles are disjoint at
+    the convergence tolerance; an orbit near two cycles at once raises
+    ``InputError``.
     """
     n = coords.shape[1]
     terms = _form_terms(f.forms)
-    anchors = _cycle_anchors(targets.cycles)
-    n_cycles = len(targets.cycles)
-    comps = targets.components
+    charts = _anchor_charts(targets.cycles)
+    probes = _component_probes(targets.components)
 
     cycle_idx = np.full(n, -1, dtype=np.int64)
     conv_iter = np.zeros(n, dtype=np.int64)
@@ -255,47 +309,49 @@ def _orbit_kernel(
     overflow = np.zeros(n, dtype=np.int64)
     comp_idx = np.full(n, -1, dtype=np.int64)
     comp_dist = np.full(n, np.inf)
-    streak = np.zeros((n, max(n_cycles, 1)), dtype=np.int64)
-
-    mags = np.abs(coords).max(axis=0)
-    coords = coords / mags
-    active = np.arange(n)
     tail_start = max_iter - cfg.convergence_window
 
-    for it in range(1, max_iter + 1):
-        if not active.size:
-            break
-        img = _eval_forms(terms, coords[:, active])
-        m = np.abs(img).max(axis=0)
-        good = np.isfinite(m) & (m > 0.0)
-        if not good.all():
-            overflow[active[~good]] = it
-            img[:, ~good] = coords[:, active][:, ~good]  # freeze the last finite lift
-            m = np.where(good, m, 1.0)
-        img = img / m
-        coords[:, active] = img
+    for lo in range(0, n, _TILE):
+        # live state of the tile: lifts, global column ids, streak and the
+        # cycle it counts toward; retired orbits are dropped from all four
+        tile = coords[:, lo : lo + _TILE]
+        tile = tile / np.abs(tile).max(axis=0)
+        cols = np.arange(lo, lo + tile.shape[1])
+        streak = np.zeros(cols.size, dtype=np.int64)
+        last = np.full(cols.size, -1, dtype=np.int64)
 
-        if n_cycles:
-            dist = _cycle_distances(img, anchors, n_cycles)
-            hit = dist < cfg.convergence_tol
-            st = np.where(hit, streak[active] + 1, 0)
-            streak[active] = st
-            done = st >= cfg.convergence_window
-            done_rows = done.any(axis=1)
-            if done_rows.any():
-                rows = active[done_rows]
-                which = done[done_rows].argmax(axis=1)
-                cycle_idx[rows] = which
-                conv_iter[rows] = it
-                conv_dist[rows] = dist[np.nonzero(done_rows)[0], which]
+        for it in range(1, max_iter + 1):
+            if not cols.size:
+                break
+            img = _eval_forms(terms, tile)
+            m = np.abs(img).max(axis=0)
+            live = np.isfinite(m) & (m > 0.0)
+            if not live.all():
+                overflow[cols[~live]] = it
+                img[:, ~live] = tile[:, ~live]  # freeze the last finite lift
+                m = np.where(live, m, 1.0)
+            tile = img / m
 
-        active = active[(cycle_idx[active] < 0) & (overflow[active] == 0)]
-        if comps and it > tail_start and active.size:
-            d = _component_distances(coords[:, active], comps)
-            best = d.min(axis=1)
-            better = best < comp_dist[active]
-            comp_dist[active] = np.where(better, best, comp_dist[active])
-            comp_idx[active] = np.where(better, d.argmin(axis=1), comp_idx[active])
+            if charts:
+                near, dist = _nearest_cycle(tile, charts, cfg.convergence_tol)
+                streak = np.where(near < 0, 0, np.where(near == last, streak + 1, 1))
+                last = near
+                done = streak >= cfg.convergence_window
+                if done.any():
+                    rows = cols[done]
+                    cycle_idx[rows] = near[done]
+                    conv_iter[rows] = it
+                    conv_dist[rows] = dist[done]
+                    live &= ~done
+
+            if not live.all():
+                tile, cols, streak, last = tile[:, live], cols[live], streak[live], last[live]
+            if probes and it > tail_start and cols.size:
+                d = _component_distances(tile, probes)
+                best = d.min(axis=1)
+                better = best < comp_dist[cols]
+                comp_dist[cols] = np.where(better, best, comp_dist[cols])
+                comp_idx[cols] = np.where(better, d.argmin(axis=1), comp_idx[cols])
 
     return cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist
 
@@ -363,7 +419,7 @@ def sample_orbits(
 ) -> list[OrbitVerdict]:
     """Classify many forward orbits in one vectorized pass.
 
-    All orbits advance in lockstep on a shared coordinate array; a column
+    Orbits advance in lockstep, one tile of columns at a time; a column
     retires as soon as its verdict is known.  Convergence means the distance
     to one cycle stayed below the convergence tolerance for a full window of
     consecutive steps; orbits that never confirm are checked over their last

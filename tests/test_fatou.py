@@ -1,11 +1,14 @@
 """Orbit sampling, escape rates, and basin rendering."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import critfin.fatou as fatou
 from critfin.algebra import poly_parse
 from critfin.config import Config, resolve
 from critfin.dynamics import endo_new
@@ -15,6 +18,7 @@ from critfin.fatou import (
     CONVERGED,
     UNDECIDED,
     SliceSpec,
+    TargetSet,
     build_targets,
     escape_rate,
     render_slice,
@@ -246,6 +250,35 @@ def test_batch_sampling_matches_single_calls():
             vb.iterations,
             vb.distance,
         )
+
+
+def test_overlapping_target_cycles_are_refused():
+    # one streak per orbit is only sound when no orbit is near two cycles at
+    # once; a hand-made target set listing a cycle twice breaks that
+    T = targets_for("f")
+    i = cycle_index(T, pt(0, 0, 1))
+    twice = TargetSet(
+        cycles=T.cycles + [T.cycles[i]],
+        classifications=T.classifications + [T.classifications[i]],
+        components=T.components,
+    )
+    with pytest.raises(InputError, match=f"cycles {i} and {len(T.cycles)}"):
+        sample_orbit(f_map(), ProjPoint.inexact([0.1, 0.1, 1]), twice)
+
+
+def test_streak_restarts_when_the_near_cycle_changes():
+    # f's 2-cycle {[0:1:1], [1:-1:-1]} split into two one-point targets: the
+    # exact orbit of [0:1:1] alternates between them and confirms neither
+    T = targets_for("f")
+    i = cycle_index(T, pt(0, 1, 1))
+    assert sample_orbit(f_map(), pt(0, 1, 1), T).cycle == i
+    split = TargetSet(
+        cycles=[[p] for p in T.cycles[i]],
+        classifications=[T.classifications[i]] * 2,
+        components=T.components,
+    )
+    v = sample_orbit(f_map(), pt(0, 1, 1), split, max_iter=40)
+    assert v.outcome != CONVERGED and v.iterations == 40
 
 
 def test_sampling_input_validation():
@@ -490,3 +523,89 @@ def test_ppm_pixels_match_sidecar_colors(tmp_path):
         assert list(data[at : at + 3]) == side["colors"][str(label)]
         assert side["legend"][str(label)] == img.legend[label]
     assert side["summary"] == img.summary
+
+
+# ---------------------------------------------------------------------------
+# orbit kernel: frozen outputs, tiles, memory
+# ---------------------------------------------------------------------------
+
+# digests recorded from the untiled kernel (one column array for the whole
+# grid, one streak counter per cycle); the tiled kernel must reproduce them
+_PPM_SHA256 = {
+    "f 64x64": "79e1988f164c77dc15f848f233f93c507cb082085934584e2521a88846e2bcd0",
+    "lattes 32x32 120": "d5405b59009d610ec9105697fcce3a94488f6cf04fb04cd9d615b6f861ade03e",
+}
+_KERNEL_SHA256_F24 = (
+    "a11da769d1faeefbbcae6f5b6297158c37ae9e1c50ca9e4a34a612d4dbe865a6",  # cycle index
+    "8595614a2f73657e6110ad96f0c3e2d50acb31879db33cbc2044459635f7c424",  # step
+    "606f558e014930f9c1669f03c71c28945c4631568e39cd308c6c7f4077c7bfb9",  # distance
+    "606f558e014930f9c1669f03c71c28945c4631568e39cd308c6c7f4077c7bfb9",  # overflow
+    "d397edef4cf4719aa6670603a4abe242d870f1ac33e619dc894b24dc1eb9b413",  # component
+    "8393be5d958e409e70271368216d62403de7c0dba4cb11b0346b55b99e75a1a6",  # tail distance
+)
+
+
+def _f_kernel(res):
+    cfg = resolve(None)
+    coords = SliceSpec.default(2, width=res, height=res).grid()
+    return fatou._orbit_kernel(f_map(), coords, targets_for("f"), cfg.max_orbit_iters, cfg)
+
+
+def test_render_bytes_match_recorded_digests(tmp_path):
+    renders = {
+        "f 64x64": render_slice(
+            f_map(), SliceSpec.default(2, width=64, height=64), targets_for("f")
+        ),
+        "lattes 32x32 120": render_slice(
+            lattes_map(), SliceSpec.default(1, width=32, height=32), targets_for("lattes"),
+            max_iter=120,
+        ),
+    }
+    for name, img in renders.items():
+        out = tmp_path / "img.ppm"
+        write_ppm(img, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _PPM_SHA256[name], name
+    arrays = _f_kernel(24)
+    assert [a.dtype.str for a in arrays] == ["<i8", "<i8", "<f8", "<i8", "<i8", "<f8"]
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert digests == _KERNEL_SHA256_F24
+
+
+def test_kernel_tiles_do_not_change_results(monkeypatch):
+    whole = _f_kernel(24)
+    starts = [
+        ProjPoint.inexact([complex(a, b), complex(c, 0.1 * d), 1])
+        for a, b, c, d in np.random.default_rng(7).uniform(-1.5, 1.5, size=(20, 4))
+    ]
+    f, T = f_map(), targets_for("f")
+    # 15 steps leave some orbits to the tail-window component check
+    budgets = (15, None)
+    single = {it: [sample_orbit(f, s, T, max_iter=it) for s in starts] for it in budgets}
+    monkeypatch.setattr(fatou, "_TILE", 7)  # 576 and 20 columns: ragged last tiles
+    for a, b in zip(whole, _f_kernel(24)):
+        assert np.array_equal(a, b)
+    outcomes = set()
+    for it in budgets:
+        batch = sample_orbits(f, starts, T, max_iter=it)
+        outcomes |= {v.outcome for v in batch}
+        for vs, vb in zip(single[it], batch):
+            assert (vs.outcome, vs.cycle, vs.iterations, vs.distance, vs.component) == (
+                vb.outcome,
+                vb.cycle,
+                vb.iterations,
+                vb.distance,
+                vb.component,
+            )
+    assert outcomes == {CONVERGED, ACCUMULATES}
+
+
+def test_kernel_memory_does_not_grow_with_the_grid():
+    coords = SliceSpec.default(2, width=256, height=256).grid()
+    f, T, cfg = f_map(), targets_for("f"), resolve(None)
+    tracemalloc.start()
+    try:
+        fatou._orbit_kernel(f, coords, T, cfg.max_orbit_iters, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"kernel peaked at {peak / 1e6:.1f} MB"

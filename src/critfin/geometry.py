@@ -20,6 +20,14 @@ The two geometric workhorses:
   a resultant, and splitting fibers exactly over Q where possible and by
   polished floating roots otherwise.  ``solve_form_pair_inexact`` runs the
   same ladder and splitter on forms with floating coefficients.
+
+The exact path stays on sympy's dense domains and never builds a sympy
+expression: the t-eliminant is the subresultant-PRS resultant of two dense
+univariates in t over ZZ[z, w] (denominators cleared, then divided back out),
+and an exact fiber is the dense gcd over QQ of two univariates.  Newton
+polishing evaluates complex terms prepared once per projection center, in
+each form's own term order and with ``evaluate``'s per-term arithmetic, so
+every float comes out bit for bit as from ``evaluate``.
 """
 
 from __future__ import annotations
@@ -27,24 +35,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
-import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.euclidtools import dup_gcd, dup_resultant
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from .algebra import (
-    HomogPoly,
-    factor,
-    from_sympy,
-    monomials_of_degree,
-    poly_gcd,
-    to_fraction,
-    to_sympy,
-)
+from .algebra import HomogPoly, factor, monomials_of_degree, poly_gcd
 from .config import Config, resolve
 from .errors import (
     ArityError,
@@ -54,7 +55,9 @@ from .errors import (
     SolverError,
 )
 
-_RING3, _RZ, _RW, _RT = ring("z,w,t", QQ, order="grevlex")
+_RING3 = ring("z,w,t", QQ, order="grevlex")[0]
+#: coefficient domain ZZ[z, w] of the t-eliminant's dense univariates
+_ZZ_ZW = ring("z,w", ZZ)[0].to_domain()
 
 
 class Membership(enum.Enum):
@@ -413,12 +416,9 @@ def _to_ring3(p: HomogPoly):
     )
 
 
-def _from_ring3(elt) -> HomogPoly:
-    terms = {
-        expo: Fraction(int(c.numerator), int(c.denominator))
-        for expo, c in elt.terms()
-    }
-    return HomogPoly(3, terms)
+def _fraction(q) -> Fraction:
+    """A QQ element as a Fraction."""
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def curve_image(f, c: Component, cfg: Config | None = None) -> Component:
@@ -516,9 +516,6 @@ _PROJECTION_SHIFTS: list[tuple[int, int]] = [
     (1, -1), (-1, 1), (2, 1), (1, 2), (-2, 1), (3, 2),
 ]
 
-_TSYM = sp.Symbol("t")
-
-
 def _shift_form(p: HomogPoly, a: int, b: int) -> HomogPoly:
     if (a, b) == (0, 0):
         return p
@@ -528,36 +525,84 @@ def _shift_form(p: HomogPoly, a: int, b: int) -> HomogPoly:
     return p.compose([z + t * Fraction(a), w + t * Fraction(b), t])
 
 
-def _fiber_poly(p: HomogPoly, z0, w0) -> list:
-    """Coefficients (descending in t) of p(z0, w0, t); exact iff inputs are."""
+def _complex_terms(p) -> list[tuple[tuple[int, ...], complex]]:
+    """The terms of p as (exponents, complex coefficient), in p's own order."""
+    return [(expo, complex(c)) for expo, c in p.terms.items()]
+
+
+def _evaluate_terms(terms, powers, acc=None) -> complex:
+    """Sum of prepared terms at a point, term by term as ``evaluate`` does.
+
+    ``powers[i][e]`` is ``coords[i] ** e``, computed once per point.
+    ``acc=None`` starts the sum at the first term (``HomogPoly.evaluate``);
+    ``acc=0j`` adds every term to 0j (``InexactForm.evaluate``).  The two
+    differ only in the sign of a zero, which the reports print.
+    """
+    for expo, c in terms:
+        term = c
+        for pw, e in zip(powers, expo):
+            if e:
+                term = term * pw[e]
+        acc = term if acc is None else acc + term
+    return 0j if acc is None else acc
+
+
+def _fiber_poly(p: HomogPoly, z0: Fraction, w0: Fraction) -> list[Fraction]:
+    """Coefficients (descending in t) of p(z0, w0, t), exactly."""
     deg = p.degree
-    coeffs = [Fraction(0) if isinstance(z0, Fraction) else 0j] * (deg + 1)
+    coeffs = [Fraction(0)] * (deg + 1)
     for (i, j, k), c in p.terms.items():
-        if isinstance(z0, Fraction):
-            coeffs[deg - k] += c * z0**i * w0**j
-        else:
-            coeffs[deg - k] += complex(c) * z0**i * w0**j
+        coeffs[deg - k] += c * z0**i * w0**j
     return coeffs
 
 
-def _exact_univariate_roots(coeffs: list[Fraction], cfg: Config) -> list[tuple[object, bool]]:
-    """Roots of an exact univariate (descending coeffs): (value, is_exact)."""
-    # strip leading zeros; trailing zeros are roots at tau = 0
-    poly = sp.Poly(coeffs, _TSYM, domain="QQ")
+def _complex_fiber(terms, deg: int, z0: complex, w0) -> list[complex]:
+    """Coefficients (descending in t) of a form at (z0, w0, t) from its prepared terms."""
+    coeffs = [0j] * (deg + 1)
+    for (i, j, k), c in terms:
+        coeffs[deg - k] += c * z0**i * w0**j
+    return coeffs
+
+
+def _common_roots(
+    pa: list[Fraction], pb: list[Fraction], cfg: Config
+) -> list[tuple[object, bool]]:
+    """Roots of gcd(pa, pb) over Q (descending, nonzero leading coeffs): (value, is_exact)."""
+    qa = [QQ(c.numerator, c.denominator) for c in pa]
+    qb = [QQ(c.numerator, c.denominator) for c in pb]
     out: list[tuple[object, bool]] = []
-    for base, _m in poly.factor_list()[1]:
-        if base.degree() == 1:
-            c1, c0 = base.all_coeffs()
-            out.append((to_fraction(sp.Rational(-c0, c1)), True))
+    for base, _m in dup_factor_list(dup_gcd(qa, qb, QQ), QQ)[1]:
+        if len(base) == 2:
+            c1, c0 = base
+            out.append((_fraction(-c0 / c1), True))
         else:
-            fl = _coeff_floats([to_fraction(v) for v in base.all_coeffs()])
+            fl = _coeff_floats([_fraction(v) for v in base])
             for r in np.roots(fl):
                 out.append((_polish_univariate(fl, complex(r), cfg.newton_max_steps), False))
     return out
 
 
+class _NewtonSystem:
+    """A form pair and all its partials as prepared complex terms.
+
+    Built once per projection center, then shared by its floating fibers and
+    every Newton polish there.  ``start`` picks the summation of the forms'
+    own ``evaluate``.
+    """
+
+    __slots__ = ("forms", "partials", "start", "degree")
+
+    def __init__(self, A, B):
+        self.degree = max(A.degree, B.degree)
+        self.forms = (_complex_terms(A), _complex_terms(B))
+        self.partials = tuple(
+            tuple(_complex_terms(p.partial(i)) for i in range(3)) for p in (A, B)
+        )
+        self.start = None if isinstance(A, HomogPoly) else 0j
+
+
 def _newton_system(
-    A: HomogPoly, B: HomogPoly, start: tuple[complex, complex, complex], cfg: Config
+    system: _NewtonSystem, start: tuple[complex, complex, complex], cfg: Config
 ) -> tuple[complex, complex, complex]:
     """Polish a root of the system {A = B = 0} in the chart of its largest coord."""
     coords = list(start)
@@ -566,15 +611,19 @@ def _newton_system(
     pivot = coords[chart]
     coords = [c / pivot for c in coords]
     free = [i for i in range(3) if i != chart]
-    pa = [A.partial(i) for i in range(3)]
-    pb = [B.partial(i) for i in range(3)]
+    ta, tb = system.forms
+    pa = [system.partials[0][i] for i in free]
+    pb = [system.partials[1][i] for i in free]
+    acc = system.start
+    exponents = range(system.degree + 1)
     for _ in range(cfg.newton_max_steps):
-        fa = complex(A.evaluate(coords))
-        fb = complex(B.evaluate(coords))
-        j00 = complex(pa[free[0]].evaluate(coords))
-        j01 = complex(pa[free[1]].evaluate(coords))
-        j10 = complex(pb[free[0]].evaluate(coords))
-        j11 = complex(pb[free[1]].evaluate(coords))
+        powers = [[v**e for e in exponents] for v in coords]
+        fa = _evaluate_terms(ta, powers, acc)
+        fb = _evaluate_terms(tb, powers, acc)
+        j00 = _evaluate_terms(pa[0], powers, acc)
+        j01 = _evaluate_terms(pa[1], powers, acc)
+        j10 = _evaluate_terms(pb[0], powers, acc)
+        j11 = _evaluate_terms(pb[1], powers, acc)
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-300:
             break
@@ -587,14 +636,33 @@ def _newton_system(
     return tuple(coords)  # type: ignore[return-value]
 
 
+def _dense_in_t(p: HomogPoly) -> tuple[list, int]:
+    """D * p as a dense univariate in t (descending) over ZZ[z, w], and D.
+
+    D is the least common denominator of p's coefficients.
+    """
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    by_t: dict[int, dict] = {}
+    for (i, j, k), c in p.terms.items():
+        by_t.setdefault(k, {})[(i, j)] = c.numerator * (den // c.denominator)
+    zw = _ZZ_ZW.ring
+    top = max(by_t, default=-1)
+    return [zw.from_dict(by_t[k]) if k in by_t else zw.zero for k in range(top, -1, -1)], den
+
+
 def _resultant_t(A: HomogPoly, B: HomogPoly) -> HomogPoly:
-    """Eliminate t from two ternary forms, returning a binary form in (z, w)."""
-    ra = to_sympy(A).as_expr()
-    rb = to_sympy(B).as_expr()
-    zs, ws, ts = sp.symbols("z w t")
-    res = sp.resultant(sp.Poly(ra, ts), sp.Poly(rb, ts))
-    poly = sp.Poly(res, zs, ws, domain="QQ")
-    return from_sympy(poly, 2)
+    """Eliminate t from two ternary forms, returning a binary form in (z, w).
+
+    With denominators cleared, both forms are dense univariates in t over
+    ZZ[z, w] (t is the only generator), and the eliminant is their
+    subresultant-PRS resultant over that domain, divided back by
+    Res(D_A A, D_B B) / Res(A, B) = D_A^deg_t(B) * D_B^deg_t(A).
+    """
+    fa, da = _dense_in_t(A)
+    fb, db = _dense_in_t(B)
+    res = dup_resultant(fa, fb, _ZZ_ZW)
+    scale = da ** max(len(fb) - 1, 0) * db ** max(len(fa) - 1, 0)
+    return HomogPoly(2, {expo: Fraction(int(c), scale) for expo, c in res.terms()})
 
 
 def solve_form_pair(
@@ -676,17 +744,17 @@ def _split_fibers(
 ) -> list[tuple[ProjPoint, int]] | None:
     """The one intersection point on each direction, or None for a bad center."""
     results: list[tuple[ProjPoint, int]] = []
+    system = None  # prepared complex terms, built at the first floating fiber
     for direction, mult in directions:
         if direction.exact:
             z0, w0 = direction.coords
-            pa = _fiber_poly(As, z0, w0)
-            pb = _fiber_poly(Bs, z0, w0)
-            g = sp.gcd(sp.Poly(pa, _TSYM, domain="QQ"), sp.Poly(pb, _TSYM, domain="QQ"))
-            roots = _exact_univariate_roots([to_fraction(v) for v in g.all_coeffs()], cfg)
+            roots = _common_roots(_fiber_poly(As, z0, w0), _fiber_poly(Bs, z0, w0), cfg)
         else:
             z0, w0 = direction.to_complex()
-            pa = _fiber_poly(As, z0, w0)
-            pb = _fiber_poly(Bs, z0, w0)
+            if system is None:
+                system = _NewtonSystem(As, Bs)
+            pa = _complex_fiber(system.forms[0], As.degree, z0, w0)
+            pb = _complex_fiber(system.forms[1], Bs.degree, z0, w0)
             roots = _match_numeric_fiber(pa, pb, cfg)
         points: list[ProjPoint] = []
         for tau, tau_exact in roots:
@@ -696,7 +764,9 @@ def _split_fibers(
                 points.append(ProjPoint.exact_point([z0 + a * tau, w0 + b * tau, tau]))
                 continue
             zc, wc = (complex(z0), complex(w0))
-            polished = _newton_system(As, Bs, (zc, wc, complex(tau)), cfg)
+            if system is None:
+                system = _NewtonSystem(As, Bs)
+            polished = _newton_system(system, (zc, wc, complex(tau)), cfg)
             back = (
                 polished[0] + a * polished[2],
                 polished[1] + b * polished[2],
@@ -885,9 +955,13 @@ def _interp_resultant_t(As: InexactForm, Bs: InexactForm) -> np.ndarray:
     """
     n = As.degree * Bs.degree + 1
     samples = np.exp(2j * np.pi * np.arange(n) / n)
+    ta, tb = _complex_terms(As), _complex_terms(Bs)
     vals = np.array(
         [
-            _sylvester_det(_fiber_poly(As, complex(z0), 1.0), _fiber_poly(Bs, complex(z0), 1.0))
+            _sylvester_det(
+                _complex_fiber(ta, As.degree, complex(z0), 1.0),
+                _complex_fiber(tb, Bs.degree, complex(z0), 1.0),
+            )
             for z0 in samples
         ]
     )

@@ -1,6 +1,7 @@
 """Command-line interface: map loading, reports, exit codes, renders."""
 
 import dataclasses
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -250,6 +251,32 @@ def test_solver_shortfall_exits_4(monkeypatch, capsys):
     code = cli.main(["certify-ramification", "f", "--point", "2,3,5"])
     assert code == cli.EXIT_SOLVER
     assert "solver" in capsys.readouterr().err
+
+
+#: SHA-256 of outputs recorded before exact elimination moved onto sympy's
+#: dense domains; every float in them (Newton polish, complex fibers,
+#: floating roots) must come back bit for bit
+ELIMINATION_DIGESTS = {
+    "analyze f": "ba5c10edc4b7a39b21123c7a32538a4419d1574a15f3b169a4fc589adbf5201f",
+    "analyze power": "b33d2059bfd4a5f284f0bf7e134727ffbf9cec6fd5c093097cf866bdc55137d9",
+    "certify f 2,3,5 3": "17898588c6040884ed9e23ebc2c2f94a01c6e47ca4c8ef076be067542cfe9489",
+}
+
+
+@pytest.mark.parametrize("fixture", ["f", "power"])
+def test_analyze_report_bytes_match_recorded_digest(fixture, tmp_path):
+    report = tmp_path / "report.json"
+    code, _ = run(["analyze", fixture, "--report", str(report)])
+    assert code == cli.EXIT_OK
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == ELIMINATION_DIGESTS[f"analyze {fixture}"]
+
+
+def test_certify_floating_fibers_match_recorded_digest():
+    code, out = run(["certify-ramification", "f", "--point", "2,3,5", "--depth", "3"])
+    assert code == cli.EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ELIMINATION_DIGESTS["certify f 2,3,5 3"]
 
 
 # ---------------------------------------------------------------------------

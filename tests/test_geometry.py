@@ -1,5 +1,6 @@
 """Projective points, membership, curve images, and intersections."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from critfin.algebra import HomogPoly, factor, poly_parse
+from critfin.algebra import (
+    HomogPoly,
+    factor,
+    from_sympy,
+    monomials_of_degree,
+    poly_parse,
+    to_fraction,
+    to_sympy,
+)
 from critfin.config import Config
 from critfin.errors import BudgetError, InputError
 from critfin.geometry import (
@@ -16,6 +25,14 @@ from critfin.geometry import (
     InexactForm,
     Membership,
     ProjPoint,
+    _coeff_floats,
+    _common_roots,
+    _evaluate_terms,
+    _exact_directions,
+    _NewtonSystem,
+    _polish_univariate,
+    _resultant_t,
+    _shift_form,
     _split_fibers,
     binary_roots,
     binary_roots_inexact,
@@ -482,3 +499,155 @@ def test_split_fibers_refuses_two_directions_with_one_point():
     assert _split_fibers(A, B, [(true_dir, 1)], 0, 0, cfg) == [(point, 1)]
     spurious = ProjPoint.inexact([1 + 1e-9, 1.0])
     assert _split_fibers(A, B, [(true_dir, 1), (spurious, 1)], 0, 0, cfg) is None
+
+
+# ---------------------------------------------------------------------------
+# exact elimination on dense domains, against the sympy expression route
+# ---------------------------------------------------------------------------
+
+
+def _expression_resultant_t(A, B):
+    """Res_t(A, B) through sympy expressions and ``sp.resultant`` (the oracle)."""
+    zs, ws, ts = sp.symbols("z w t")
+    res = sp.resultant(sp.Poly(to_sympy(A).as_expr(), ts), sp.Poly(to_sympy(B).as_expr(), ts))
+    return from_sympy(sp.Poly(res, zs, ws, domain="QQ"), 2)
+
+
+def _expression_common_roots(pa, pb, cfg):
+    """Roots of gcd(pa, pb) through ``sp.gcd`` on Polys (the oracle)."""
+    ts = sp.Symbol("t")
+    g = sp.gcd(sp.Poly(pa, ts, domain="QQ"), sp.Poly(pb, ts, domain="QQ"))
+    poly = sp.Poly([to_fraction(v) for v in g.all_coeffs()], ts, domain="QQ")
+    out = []
+    for base, _m in poly.factor_list()[1]:
+        if base.degree() == 1:
+            c1, c0 = base.all_coeffs()
+            out.append((to_fraction(sp.Rational(-c0, c1)), True))
+        else:
+            fl = _coeff_floats([to_fraction(v) for v in base.all_coeffs()])
+            for r in np.roots(fl):
+                out.append((_polish_univariate(fl, complex(r), cfg.newton_max_steps), False))
+    return out
+
+
+def _random_ternary(rng, degree, t_lead):
+    """A nonzero ternary form with small rational coefficients."""
+    while True:
+        terms = {
+            expo: Fraction(rng.randint(-5, 5), rng.choice([1, 1, 1, 2, 3, 7]))
+            for expo in monomials_of_degree(3, degree)
+            if rng.random() < 0.6
+        }
+        if t_lead:
+            terms[(0, 0, degree)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+        else:
+            terms.pop((0, 0, degree), None)
+        p = HomogPoly(3, terms)
+        if not p.is_zero():
+            return p
+
+
+def test_resultant_t_matches_the_expression_route_on_random_pairs():
+    rng = random.Random(83)
+    cfg = Config()
+    dropped = 0
+    for _ in range(200):
+        da, db = rng.randint(1, 4), rng.randint(1, 4)
+        # some forms lose their t-leading coefficient; the eliminant drops
+        # degree only when both do (the other one's is a nonzero constant)
+        lose = rng.choice(["", "", "A", "B", "AB", "AB"])
+        A = _random_ternary(rng, da, t_lead="A" not in lose)
+        B = _random_ternary(rng, db, t_lead="B" not in lose)
+        R = _resultant_t(A, B)
+        assert R == _expression_resultant_t(A, B)
+        if R.is_zero():
+            continue
+        if lose != "AB":
+            assert R.degree == da * db
+        elif R.degree != da * db:
+            assert _exact_directions(A, B, cfg) is None
+            dropped += 1
+    assert dropped >= 20
+
+
+@pytest.mark.parametrize("forms", [F_FORMS, POWER_FORMS], ids=["f", "power"])
+@pytest.mark.parametrize("center", [(0, 0), (1, 0)])
+def test_resultant_t_matches_the_expression_route_on_fixed_point_minors(forms, center):
+    x = [HomogPoly.variable(3, i) for i in range(3)]
+    minors = [forms[i] * x[j] - forms[j] * x[i] for i, j in [(0, 1), (0, 2), (1, 2)]]
+    nonzero = 0
+    for A, B in itertools.combinations(minors, 2):
+        As, Bs = _shift_form(A, *center), _shift_form(B, *center)
+        R = _resultant_t(As, Bs)
+        assert R == _expression_resultant_t(As, Bs)
+        nonzero += not R.is_zero()
+    assert nonzero >= 1
+
+
+def test_fiber_gcd_roots_match_the_expression_route():
+    rng = random.Random(89)
+    cfg = Config()
+
+    def rand_poly(deg):
+        coeffs = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5])) for _ in range(deg + 1)]
+        coeffs[0] = coeffs[0] or Fraction(1)
+        return coeffs
+
+    def times(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    floating = 0
+    for _ in range(200):
+        common = rand_poly(rng.randint(0, 3))
+        pa = times(common, rand_poly(rng.randint(0, 3)))
+        pb = times(common, rand_poly(rng.randint(0, 3)))
+        got = _common_roots(pa, pb, cfg)
+        want = _expression_common_roots(pa, pb, cfg)
+        # repr tells the sign of a zero apart, so the floats match bit for bit
+        assert [(repr(v), e) for v, e in got] == [(repr(v), e) for v, e in want]
+        floating += any(not e for _, e in got)
+    assert floating >= 10
+
+
+def test_solve_form_pair_builds_no_expressions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact elimination went through sympy expressions")
+
+    monkeypatch.setattr(sp.polys.polytools.Poly, "_from_expr", refuse)
+    monkeypatch.setattr(sp, "resultant", refuse)
+    # the (0,1) and (1,2) fixed-point minors of f with their common factor w
+    # divided out, as find_periodic hands them to the solver
+    A, B = poly_parse("z^2 - z*w - w*t"), poly_parse("w*t - t^2", 3)
+    sols = solve_form_pair(A, B)
+    assert sum(m for _, m in sols) == 4
+    for pt, _m in sols:
+        if pt.exact:
+            assert A.evaluate(pt.coords) == 0 and B.evaluate(pt.coords) == 0
+
+
+def test_prepared_terms_evaluate_bit_for_bit():
+    # each form family keeps its own summation: HomogPoly.evaluate starts at
+    # the first term, InexactForm.evaluate at 0j, and the two differ in the
+    # sign of a zero at the first two points
+    rng = random.Random(97)
+    forms = [
+        poly_parse("2*z", 3),
+        _random_ternary(rng, 3, t_lead=True),
+        InexactForm(3, {(1, 0, 0): complex(2.0, -0.0)}, 1),
+        InexactForm.combination(0.3 - 0.2j, F_FORMS[0], 1.5, F_FORMS[1]),
+    ]
+    points = [(complex(-1.0, -0.0), 0j, 0j), (complex(1.0, -0.0), 0j, 0j)]
+    points += [tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)) for _ in range(20)]
+    for form in forms:
+        system = _NewtonSystem(form, form)
+        pairs = [(system.forms[0], form)]
+        pairs += [(system.partials[0][i], form.partial(i)) for i in range(3)]
+        for pt in points:
+            powers = [[v**e for e in range(system.degree + 1)] for v in pt]
+            for terms, ref in pairs:
+                got = _evaluate_terms(terms, powers, system.start)
+                assert repr(got) == repr(complex(ref.evaluate(pt)))

@@ -6,10 +6,13 @@ nothing in this module ever rounds.  The monomial order used for normal forms
 and printing is degree-reverse-lexicographic with z > w > t.
 
 The heavy ring operations (gcd, square-free decomposition, irreducible
-factorization over Q) are delegated to ``sympy.polys``; this module owns the
-representation, the parser, the normal form, and both resultants (Sylvester
-for binary forms, Macaulay for ternary forms, including the perturbation
-fallback used when the Macaulay denominator degenerates).
+factorization over Q, characteristic polynomials) are delegated to
+``sympy.polys``; this module owns the representation, the parser, the normal
+form, and the resultant.  The resultant takes one route for binary and
+ternary forms: Macaulay's quotient det M / det M', read off the
+characteristic polynomials of M and M' so that a singular minor M' needs no
+separate fallback (for binary forms M is the Sylvester matrix and M' is
+empty).
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from .config import Config, resolve
 from .errors import (
@@ -421,10 +426,15 @@ class _Parser:
                 raise ParseError("exponent must be a literal natural number", at)
             self.advance()
             n = int(val)
-            acc = {(0,) * self.num_vars: Fraction(1)}
-            for _ in range(n):
-                acc = self._mul(acc, base)
-            return acc
+            # square-and-multiply, as in HomogPoly.__pow__
+            acc = None
+            while n:
+                if n & 1:
+                    acc = base if acc is None else self._mul(acc, base)
+                n >>= 1
+                if n:
+                    base = self._mul(base, base)
+            return {(0,) * self.num_vars: Fraction(1)} if acc is None else acc
         return base
 
     def atom(self) -> dict:
@@ -588,12 +598,17 @@ def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
     genuinely superpolynomial step exposed to user-controlled input).
     """
     cfg = resolve(cfg)
-    if p.is_zero():
-        raise ArityError("cannot factor the zero polynomial")
     if p.degree is not None and p.degree > cfg.factor_degree_cap:
         raise BudgetError(
             f"degree {p.degree} exceeds the factorization cap {cfg.factor_degree_cap}"
         )
+    return factor_uncapped(p)
+
+
+def factor_uncapped(p: HomogPoly) -> Factorization:
+    """``factor`` without the degree cap, for eliminants the package built itself."""
+    if p.is_zero():
+        raise ArityError("cannot factor the zero polynomial")
     if p.num_vars == 2:
         pairs = _binary_factor_list(p)
     else:
@@ -616,32 +631,8 @@ def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# determinants (fraction-free)
+# resultants
 # ---------------------------------------------------------------------------
-
-
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by Bareiss elimination with pivot search."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = pivot
-    return sign * m[-1][-1]
 
 
 def _clear_denominators(p: HomogPoly) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -652,149 +643,37 @@ def _clear_denominators(p: HomogPoly) -> tuple[int, dict[tuple[int, ...], int]]:
     return L, {e: int(c * L) for e, c in p.terms.items()}
 
 
-# ---------------------------------------------------------------------------
-# resultants
-# ---------------------------------------------------------------------------
-
-
-def _sylvester_resultant(a: HomogPoly, b: HomogPoly) -> Fraction:
-    m, n = a.degree, b.degree
-    La, ia = _clear_denominators(a)
-    Lb, ib = _clear_denominators(b)
-    ca = [ia.get((m - j, j), 0) for j in range(m + 1)]
-    cb = [ib.get((n - j, j), 0) for j in range(n + 1)]
-    size = m + n
-    rows: list[list[int]] = []
-    for shift in range(n):
-        rows.append([0] * shift + ca + [0] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([0] * shift + cb + [0] * (size - shift - n - 1))
-    det = _bareiss_det(rows)
-    # Res(La*a, Lb*b) = La^n * Lb^m * Res(a, b)
-    return Fraction(det, La**n * Lb**m)
-
-
-def _macaulay_structure(
-    degrees: tuple[int, int, int],
-) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Monomial basis and row assignment for the classical Macaulay matrix.
-
-    Returns (monomials T of the critical degree, assigned form index per row,
-    indices of the non-reduced rows/columns that make up the denominator
-    minor).
-    """
-    D = 1 + sum(d - 1 for d in degrees)
-    mons = monomials_of_degree(3, D)
-    assigned: list[int] = []
-    nonreduced: list[int] = []
-    for idx, mono in enumerate(mons):
-        divisors = [i for i in range(3) if mono[i] >= degrees[i]]
-        assigned.append(divisors[0])
-        if len(divisors) >= 2:
-            nonreduced.append(idx)
-    return mons, assigned, nonreduced
-
-
-def _macaulay_matrices(
-    int_terms: list[dict[tuple[int, ...], int]], degrees: tuple[int, int, int]
-) -> tuple[list[list[int]], list[int]]:
-    mons, assigned, nonreduced = _macaulay_structure(degrees)
-    index_of = {mono: j for j, mono in enumerate(mons)}
-    big: list[list[int]] = []
-    for mono, i in zip(mons, assigned):
-        shift = tuple(
-            e - (degrees[i] if v == i else 0) for v, e in enumerate(mono)
-        )
-        row = [0] * len(mons)
-        for expo, c in int_terms[i].items():
-            row[index_of[tuple(a + b for a, b in zip(expo, shift))]] = c
-        big.append(row)
-    return big, nonreduced
-
-
-def _lagrange_value_at_zero(points: list[tuple[int, Fraction]]) -> Fraction:
-    """Interpolate the polynomial through ``points`` and evaluate at 0."""
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        weight = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                weight *= Fraction(-xj, xi - xj)
-        total += yi * weight
-    return total
-
-
-def _macaulay_resultant(forms: Sequence[HomogPoly]) -> Fraction:
-    degrees = tuple(f.degree for f in forms)
-    cleared = [_clear_denominators(f) for f in forms]
-    scales = [L for L, _ in cleared]
-    int_terms = [terms for _, terms in cleared]
-    big, nonreduced = _macaulay_matrices(int_terms, degrees)
-    minor = [[big[r][c] for c in nonreduced] for r in nonreduced]
-    det_minor = _bareiss_det(minor)
-    if det_minor != 0:
-        det_big = _bareiss_det(big)
-        if det_big % det_minor != 0:  # pragma: no cover - theory says exact
-            raise ArityError("Macaulay quotient failed to divide exactly")
-        res_int = det_big // det_minor
-    else:
-        res_int = _macaulay_perturbed(big, nonreduced)
-    # Res is homogeneous of degree prod(d_j, j != i) in the coefficients of f_i
-    scale = Fraction(1)
-    for i, L in enumerate(scales):
-        e = 1
-        for j, d in enumerate(degrees):
-            if j != i:
-                e *= d
-        scale *= Fraction(L) ** e
-    return Fraction(res_int) / scale
-
-
-def _macaulay_perturbed(big: list[list[int]], nonreduced: list[int]) -> int:
-    """Degenerate-denominator fallback via the perturbed system.
-
-    Replacing f_i by f_i - s*x_i^(d_i) subtracts s down the diagonal of the
-    Macaulay matrix, so the perturbed resultant is the polynomial quotient
-    det(M - sI)/det(M' - sI) in s.  Both determinants are sampled at integer
-    values of s (skipping roots of the denominator), the quotient polynomial
-    is recovered by interpolation, and the true resultant is its value at 0.
-    """
-    n = len(big)
-    quotient_degree = n - len(nonreduced)
-    samples: list[tuple[int, Fraction]] = []
-    s = 0
-    while len(samples) < quotient_degree + 1:
-        s += 1
-        for cand in (s, -s):
-            shifted = [row[:] for row in big]
-            for i in range(n):
-                shifted[i][i] -= cand
-            minor = [[shifted[r][c] for c in nonreduced] for r in nonreduced]
-            dm = _bareiss_det(minor)
-            if dm == 0:
-                continue
-            db = _bareiss_det(shifted)
-            samples.append((cand, Fraction(db, dm)))
-            if len(samples) == quotient_degree + 1:
-                break
-        if s > n + 8:  # pragma: no cover - needs > n integer eigenvalues
-            raise ArityError("perturbation sampling failed to find valid points")
-    value = _lagrange_value_at_zero(samples)
-    if value.denominator != 1:  # pragma: no cover - theory says integer
-        raise ArityError("perturbed Macaulay interpolation was not integral")
-    return value.numerator
+def _charpoly(rows: list[list[int]]) -> list[int]:
+    """Coefficients of det(s*I - rows), lowest power of s first."""
+    n = len(rows)
+    chi = DomainMatrix([[ZZ(c) for c in row] for row in rows], (n, n), ZZ).charpoly()
+    return [int(c) for c in reversed(chi)]
 
 
 def resultant(forms: Sequence[HomogPoly]) -> Fraction:
     """Multivariate resultant of a square system of forms.
 
+    Macaulay's quotient det M / det M', for two binary or three ternary
+    forms alike.  M is n x n, indexed by the n monomials m of degree
+    1 + sum(d_i - 1): row m holds the coefficients of (m / x_i^(d_i)) * f_i
+    for the first i with x_i^(d_i) | m, so its diagonal entry is the
+    coefficient of x_i^(d_i) in f_i.  M' is the n' x n' principal minor on
+    the monomials that two such powers divide; for binary forms there are
+    none, and M is the Sylvester matrix.
+
+    Subtracting s down the diagonal perturbs each f_i by -s*x_i^(d_i), so
+    det(M - sI) / det(M' - sI) is the resultant of the perturbed system, a
+    polynomial in s whose value at 0 is the answer (Canny's generalized
+    characteristic polynomial).  Writing chi(s) = det(sI - .) and k for the
+    order to which chi_M' vanishes at 0 (k = 0 unless M' is singular), that
+    value is (-1)^(n - n') [s^k]chi_M / [s^k]chi_M'.  A singular minor thus
+    takes the same path as a regular one.
+
     Parameters
     ----------
     forms:
         Exactly ``num_vars`` forms, all nonzero, of degree >= 1: two binary
-        forms (Sylvester determinant) or three ternary forms (Macaulay
-        quotient, with the perturbation fallback when the denominator minor
-        is singular).
+        forms or three ternary forms.
 
     Returns
     -------
@@ -815,6 +694,28 @@ def resultant(forms: Sequence[HomogPoly]) -> Fraction:
         )
     if any(f.is_zero() or f.degree == 0 for f in forms):
         raise ArityError("resultant requires nonzero forms of degree >= 1")
-    if nv == 2:
-        return _sylvester_resultant(forms[0], forms[1])
-    return _macaulay_resultant(forms)
+    degrees = [f.degree for f in forms]
+    cleared = [_clear_denominators(f) for f in forms]
+    mons = monomials_of_degree(nv, 1 + sum(d - 1 for d in degrees))
+    index_of = {mono: j for j, mono in enumerate(mons)}
+    big: list[list[int]] = []
+    nonreduced: list[int] = []
+    for idx, mono in enumerate(mons):
+        divisors = [i for i in range(nv) if mono[i] >= degrees[i]]
+        if len(divisors) >= 2:
+            nonreduced.append(idx)
+        i = divisors[0]
+        shift = [e - (degrees[i] if v == i else 0) for v, e in enumerate(mono)]
+        row = [0] * len(mons)
+        for expo, c in cleared[i][1].items():
+            row[index_of[tuple(a + b for a, b in zip(expo, shift))]] = c
+        big.append(row)
+    chi = _charpoly(big)
+    chi_minor = _charpoly([[big[r][c] for c in nonreduced] for r in nonreduced])
+    k = next(j for j, c in enumerate(chi_minor) if c)
+    if chi[k] % chi_minor[k] != 0:  # pragma: no cover - theory says exact
+        raise ArityError("Macaulay quotient failed to divide exactly")
+    res_int = (-1) ** (len(mons) - len(nonreduced)) * (chi[k] // chi_minor[k])
+    # Res is homogeneous of degree prod(d_j, j != i) in the coefficients of f_i
+    scale = prod(L ** prod(degrees[:i] + degrees[i + 1 :]) for i, (L, _) in enumerate(cleared))
+    return Fraction(res_int, scale)

@@ -48,13 +48,25 @@ EXIT_BUDGET = 3
 EXIT_SOLVER = 4
 EXIT_OUTPUT = 5
 
-#: how library failures surface as process failures
+
+class ExitCode(int):
+    """A process exit code carrying the stderr prefix of its failure class."""
+
+    def __new__(cls, code: int, prefix: str) -> "ExitCode":
+        self = super().__new__(cls, code)
+        self.prefix = prefix
+        return self
+
+
+#: how library failures surface as process failures; the first class that
+#: matches decides, so subclasses come before their bases
 EXIT_CODES = {
-    InputError: EXIT_INPUT,
-    BudgetError: EXIT_BUDGET,
-    SolverError: EXIT_SOLVER,
-    UnwritableOutputError: EXIT_OUTPUT,
-    OSError: EXIT_OUTPUT,
+    InputError: ExitCode(EXIT_INPUT, "invalid input: "),
+    BudgetError: ExitCode(EXIT_BUDGET, "budget exhausted: "),
+    SolverError: ExitCode(EXIT_SOLVER, "solver shortfall: "),
+    UnwritableOutputError: ExitCode(EXIT_OUTPUT, "cannot write output: "),
+    OSError: ExitCode(EXIT_OUTPUT, "cannot write output: "),
+    CritfinError: ExitCode(EXIT_INPUT, ""),
 }
 
 
@@ -122,12 +134,6 @@ def load_map(source: str) -> tuple[Endomorphism, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _point_dict(p: ProjPoint) -> dict:
-    if p.exact:
-        return {"coords": [str(c) for c in p.coords], "exact": True}
-    return {"coords": [[z.real, z.imag] for z in p.to_complex()], "exact": False}
-
-
 def _eigen_entry(value) -> object:
     if isinstance(value, (int, Fraction)):
         return str(value)
@@ -137,7 +143,7 @@ def _eigen_entry(value) -> object:
 
 def _periodic_dict(pp: PeriodicPoint, cfg: Config) -> dict:
     return {
-        "point": _point_dict(pp.point),
+        "point": pp.point.as_dict(),
         "period": pp.period,
         "classification": pp.classification,
         "eigen_data": [_eigen_entry(v) for v in pp.eigen_data],
@@ -302,7 +308,7 @@ def _parse_slice(text: str | None, k: int, width: int, height: int) -> SliceSpec
         center = doc["center"]
         if not isinstance(center, list) or len(center) != 2:
             raise InputError("slice center must be a [u, v] pair")
-        kwargs["center"] = (float(center[0]), float(center[1]))
+        kwargs["center"] = tuple(center)
     if "extent" in doc:
         if not isinstance(doc["extent"], (int, float)):
             raise InputError("slice extent must be a number")
@@ -400,24 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     np.random.seed(args.seed % 2**32)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"critfin: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetError as exc:
-        print(f"critfin: budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except SolverError as exc:
-        print(f"critfin: solver shortfall: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except UnwritableOutputError as exc:
-        print(f"critfin: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    except OSError as exc:
-        print(f"critfin: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_OUTPUT
-    except CritfinError as exc:
-        print(f"critfin: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except tuple(EXIT_CODES) as exc:
+        code = next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"critfin: {code.prefix}{exc}", file=sys.stderr)
+        return int(code)
 
 
 if __name__ == "__main__":

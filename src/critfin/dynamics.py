@@ -24,7 +24,15 @@ from typing import Sequence
 
 import sympy as sp
 
-from .algebra import HomogPoly, factor, poly_gcd, resultant, to_sympy, from_sympy
+from .algebra import (
+    HomogPoly,
+    factor,
+    factor_uncapped,
+    from_sympy,
+    poly_gcd,
+    resultant,
+    to_sympy,
+)
 from .config import Config, resolve
 from .errors import (
     ArityError,
@@ -74,7 +82,7 @@ class Endomorphism:
 
     __slots__ = ("forms", "k", "degree", "_jacobian", "_det_jacobian")
 
-    def __init__(self, forms: Sequence[HomogPoly], _validated: bool = False):
+    def __init__(self, forms: Sequence[HomogPoly]):
         forms = list(forms)
         if not forms:
             raise ArityError("an endomorphism needs coordinate forms")
@@ -144,7 +152,7 @@ def endo_new(forms: Sequence[HomogPoly], cfg: Config | None = None) -> Endomorph
     """Validate and wrap coordinate forms as a morphism.
 
     Raises NotAMorphismError when the forms share a projective zero (checked
-    by an exact resultant: Sylvester on P^1, Macaulay on P^2).
+    by the exact Macaulay resultant, on P^1 and P^2 alike).
     """
     endo = Endomorphism(forms)
     if resultant(list(endo.forms)) == 0:
@@ -171,7 +179,7 @@ def iterate(f: Endomorphism, n: int, cfg: Config | None = None) -> Endomorphism:
     current = f
     for _ in range(n - 1):
         composed = [g.compose(list(current.forms)) for g in f.forms]
-        current = Endomorphism(composed, _validated=True)
+        current = Endomorphism(composed)
     return current
 
 
@@ -355,7 +363,7 @@ def _solve_degenerate_pair(
     g = poly_gcd(A, B)
     candidates: list[ProjPoint] = []
     if g.degree and g.degree > 0:
-        for base, _m in factor(g, cfg.with_overrides(factor_degree_cap=max(cfg.factor_degree_cap, g.degree))).factors:
+        for base, _m in factor_uncapped(g).factors:
             if poly_gcd(base, third).degree != 0:
                 # the base would have to divide all three minors: a curve of
                 # fixed points, impossible for a morphism

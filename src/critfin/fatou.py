@@ -19,6 +19,7 @@ convergence tolerance of two cycles at once is refused with ``InputError``.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .dynamics import (
     find_periodic,
 )
 from .errors import InputError
-from .geometry import Component, HomogPoly, ProjPoint
+from .geometry import Component, HomogPoly, ProjPoint, same_component
 from .postcritical import ClassificationReport, classify
 
 CONVERGED = "converged"
@@ -81,18 +82,6 @@ class TargetSet:
         return self.classifications[i].startswith("superattracting")
 
 
-def _known_component(comp: Component, seen: list[Component], tol: float) -> bool:
-    for other in seen:
-        if comp.kind != other.kind:
-            continue
-        if comp.kind == "curve":
-            if comp.poly == other.poly:
-                return True
-        elif comp.point.is_close(other.point, tol):
-            return True
-    return False
-
-
 def build_targets(
     f: Endomorphism,
     report: ClassificationReport | None = None,
@@ -117,7 +106,7 @@ def build_targets(
         if omega is None:
             continue
         for comp in omega.E:
-            if not _known_component(comp, components, cfg.cluster_tol):
+            if not any(same_component(comp, c, cfg.cluster_tol) for c in components):
                 components.append(comp)
 
     cycles: list[list[ProjPoint]] = []
@@ -526,10 +515,13 @@ class SliceSpec:
     height: int = 128
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(complex(c) for c in self.base))
-        object.__setattr__(self, "dir_u", tuple(complex(c) for c in self.dir_u))
-        object.__setattr__(self, "dir_v", tuple(complex(c) for c in self.dir_v))
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        try:
+            object.__setattr__(self, "base", tuple(complex(c) for c in self.base))
+            object.__setattr__(self, "dir_u", tuple(complex(c) for c in self.dir_u))
+            object.__setattr__(self, "dir_v", tuple(complex(c) for c in self.dir_v))
+            object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        except (TypeError, ValueError):
+            raise InputError("slice coordinates and center must be numbers") from None
         k = len(self.base)
         if k < 1 or len(self.dir_u) != k or len(self.dir_v) != k:
             raise InputError("base point and direction vectors need matching lengths")
@@ -539,6 +531,11 @@ class SliceSpec:
             raise InputError("resolution must be at least 1x1")
         if not self.extent > 0:
             raise InputError("window extent must be positive")
+        vectors = self.base + self.dir_u + self.dir_v
+        if not all(cmath.isfinite(c) for c in vectors) or not all(
+            math.isfinite(x) for x in (*self.center, self.extent)
+        ):
+            raise InputError("slice coordinates, center and extent must be finite")
         # independence over the reals: Cauchy-Schwarz must be strict for the
         # real inner product Re<u, v> on C^k viewed as R^(2k)
         uu = sum(abs(c) ** 2 for c in self.dir_u)

@@ -45,7 +45,7 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from .algebra import HomogPoly, factor, monomials_of_degree, poly_gcd
+from .algebra import HomogPoly, factor, factor_uncapped, monomials_of_degree, poly_gcd
 from .config import Config, resolve
 from .errors import (
     ArityError,
@@ -123,6 +123,12 @@ class ProjPoint:
         if self.exact:
             return tuple(complex(c) for c in self.coords)
         return self.coords  # type: ignore[return-value]
+
+    def as_dict(self) -> dict:
+        """JSON form: rational strings when exact, [re, im] pairs otherwise."""
+        if self.exact:
+            return {"coords": [str(c) for c in self.coords], "exact": True}
+        return {"coords": [[z.real, z.imag] for z in self.to_complex()], "exact": False}
 
     def chart(self) -> int:
         """Index of the largest-magnitude coordinate (ties: lowest index)."""
@@ -244,7 +250,7 @@ class AlgebraicSet:
         tol = resolve(None).cluster_tol if cluster_tol is None else cluster_tol
         kept: list[Component] = []
         for comp in components:
-            if any(_same_component(comp, other, tol) for other in kept):
+            if any(same_component(comp, other, tol) for other in kept):
                 continue
             kept.append(comp)
         kept.sort(key=Component.sort_key)
@@ -274,7 +280,8 @@ class AlgebraicSet:
         return f"AlgebraicSet({inner})"
 
 
-def _same_component(a: Component, b: Component, tol: float) -> bool:
+def same_component(a: Component, b: Component, tol: float) -> bool:
+    """Equal curves, or points within chordal distance ``tol`` (exact: equal)."""
     if a.kind != b.kind:
         return False
     if a.kind == "curve":
@@ -386,11 +393,8 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
         raise ArityError("zero form has every root")
     # the degree cap guards user-facing factor() calls; internal resultants
     # legitimately reach higher degrees and must still split exactly
-    fac_cfg = cfg.with_overrides(
-        factor_degree_cap=max(cfg.factor_degree_cap, p.degree or 0)
-    )
     out: list[tuple[ProjPoint, int]] = []
-    for base, mult in factor(p, fac_cfg).factors:
+    for base, mult in factor_uncapped(p).factors:
         if base.degree == 1:
             a = base.terms.get((1, 0), Fraction(0))
             b = base.terms.get((0, 1), Fraction(0))

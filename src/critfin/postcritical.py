@@ -30,6 +30,7 @@ from .geometry import (
     contains,
     curve_image,
     curve_intersect,
+    same_component,
 )
 
 __all__ = [
@@ -77,22 +78,13 @@ class OrbitGraph:
                 return i
         else:
             for i, node in enumerate(self.nodes):
-                if self._same(node.component, comp):
+                if same_component(node.component, comp, self.cluster_tol):
                     return i
         self.nodes.append(GraphNode(component=comp, depth=depth))
         i = len(self.nodes) - 1
         if comp.is_exact:
             self._exact_index[comp] = i
         return i
-
-    def _same(self, a: Component, b: Component) -> bool:
-        if a.kind != b.kind:
-            return False
-        if a.kind == "curve":
-            return a.poly == b.poly
-        if a.point.exact and b.point.exact:
-            return a.point == b.point
-        return a.point.is_close(b.point, self.cluster_tol)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -378,12 +370,7 @@ class ClassificationReport:
 def _component_dict(c: Component) -> dict:
     if c.kind == "curve":
         return {"kind": "curve", "poly": str(c.poly), "degree": c.degree}
-    p = c.point
-    if p.exact:
-        coords = [str(x) for x in p.coords]
-    else:
-        coords = [[z.real, z.imag] for z in p.to_complex()]
-    return {"kind": "point", "coords": coords, "exact": p.exact}
+    return {"kind": "point", **c.point.as_dict()}
 
 
 def _set_dict(s: AlgebraicSet | None) -> list | None:

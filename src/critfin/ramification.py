@@ -320,7 +320,7 @@ class RamificationCertificate:
 
     def as_dict(self) -> dict:
         return {
-            "root": _point_dict(self.root),
+            "root": self.root.as_dict(),
             "depth": self.depth,
             "order": self.order,
             "bound": self.bound,
@@ -333,23 +333,15 @@ class RamificationCertificate:
         }
 
 
-def _point_dict(p: ProjPoint) -> dict:
-    if p.exact:
-        coords = [str(c) for c in p.coords]
-    else:
-        coords = [[c.real, c.imag] for c in p.to_complex()]
-    return {"coords": coords, "exact": p.exact}
-
-
 def _path_dict(rec: PathRecord) -> dict:
     return {
-        "leaf": _point_dict(rec.leaf),
+        "leaf": rec.leaf.as_dict(),
         "total": rec.total,
         "stratum_counts": {str(m): c for m, c in sorted(rec.stratum_counts.items())},
         "undecided": rec.undecided,
         "forward_residual": rec.forward_residual,
         "passages": [
-            {"level": p.level, "point": _point_dict(p.point), "stratum": p.stratum}
+            {"level": p.level, "point": p.point.as_dict(), "stratum": p.stratum}
             for p in rec.passages
         ],
     }

@@ -1,5 +1,7 @@
 """Exact polynomial layer: parsing, normal form, factorization, resultants."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import sympy as sp
 from critfin.algebra import (
     Factorization,
     HomogPoly,
+    _Parser,
     factor,
     from_sympy,
     monomials_of_degree,
@@ -109,6 +112,28 @@ def test_str_round_trips_through_parser():
         nv = rng.choice([2, 3])
         p = random_form(rng, nv, rng.randint(1, 5))
         assert poly_parse(str(p), nv) == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100, 1023, 100000])
+def test_parse_power_squares_and_multiplies(monkeypatch, n):
+    calls = 0
+    real_mul = _Parser._mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(_Parser, "_mul", counting_mul)
+    assert poly_parse(f"t^{n}", 3) == T3**n
+    assert calls <= 2 * math.ceil(math.log2(n))
+
+
+def test_parse_power_of_a_sum_matches_repeated_products():
+    assert poly_parse("(z - 2*w + t)^5") == poly_parse(
+        "(z - 2*w + t)*(z - 2*w + t)*(z - 2*w + t)*(z - 2*w + t)*(z - 2*w + t)"
+    )
+    assert poly_parse("(z + w)^0 * z") == poly_parse("z")
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +437,54 @@ def test_resultant_invariant_under_unimodular_substitution():
             continue
         rhs = resultant([f.compose(sub) for f in forms])
         assert lhs == rhs
+
+
+def _denominator_minor(forms):
+    """Macaulay's denominator minor M', built here independently of the module.
+
+    Its rows and columns are the monomials of degree 1 + sum(d_i - 1) that
+    two of the powers x_i^(d_i) divide; a row belongs to the first such f_i.
+    """
+    nv = len(forms)
+    degrees = [f.degree for f in forms]
+    mons = monomials_of_degree(nv, 1 + sum(d - 1 for d in degrees))
+    nonreduced = [m for m in mons if sum(m[i] >= degrees[i] for i in range(nv)) >= 2]
+    rows = []
+    for m in nonreduced:
+        i = next(i for i in range(nv) if m[i] >= degrees[i])
+        shift = [e - (degrees[i] if v == i else 0) for v, e in enumerate(m)]
+        rows.append(
+            [forms[i].terms.get(tuple(c - s for c, s in zip(col, shift)), 0) for col in nonreduced]
+        )
+    return sp.Matrix(rows)
+
+
+def test_resultant_of_products_of_linear_forms():
+    # Res(prod l_0j, ..., prod l_(n-1)j) = prod over every choice of one
+    # linear factor per form of det(coefficient rows); Res(z, w, t) = 1
+    rng = random.Random(61)
+    singular_minors = 0
+    for draw in range(300):
+        nv = 2 if draw % 3 == 0 else 3
+        factors = []
+        for _ in range(nv):
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                row = [rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(nv)]
+                if not any(row):
+                    row[rng.randrange(nv)] = 1
+                rows.append(row)
+            factors.append(rows)
+        forms = []
+        for rows in factors:
+            f = HomogPoly.constant(nv, 1)
+            for row in rows:
+                f = f * HomogPoly(nv, {e: c for e, c in zip(monomials_of_degree(nv, 1), row)})
+            forms.append(f)
+        expected = 1
+        for choice in itertools.product(*factors):
+            expected *= sp.Matrix(choice).det()
+        assert resultant(forms) == expected, (forms, expected)
+        if nv == 3 and _denominator_minor(forms).det() == 0:
+            singular_minors += 1
+    assert singular_minors >= 40

@@ -12,7 +12,16 @@ from critfin import cli
 from critfin.algebra import poly_parse
 from critfin.config import DEFAULT, Config
 from critfin.dynamics import endo_new
-from critfin.errors import InputError, SolverError
+from critfin.errors import (
+    BudgetError,
+    CritfinError,
+    DegenerateEliminationError,
+    InputError,
+    ParseError,
+    SolverError,
+    UnwritableOutputError,
+)
+from critfin.fatou import SliceSpec
 
 
 def run(argv):
@@ -346,11 +355,37 @@ def test_render_slice_accepts_complex_strings(tmp_path):
         '{"extent": "wide"}',
         '{"dir_u": 5}',
         '{"dir_u": ["abc", 0]}',
+        '{"center": ["a", 0]}',
+        '{"center": [null, 0]}',
+        '{"center": [1e999, 0]}',
+        '{"center": [0, NaN]}',
+        '{"base": ["nan", 0]}',
+        '{"base": [1e999, 0]}',
+        '{"dir_u": ["inf", 0]}',
+        '{"dir_v": [0, "nanj"]}',
+        '{"extent": 1e999}',
     ],
 )
 def test_render_rejects_malformed_slices(tmp_path, spec):
     code, _ = run(["render", "f", "--slice", spec, "--out", str(tmp_path / "x.ppm")])
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("base", (float("nan"), 0)),
+        ("dir_u", (complex(1, float("inf")), 0)),
+        ("dir_v", (0, float("-inf"))),
+        ("center", (float("inf"), 0.0)),
+        ("extent", float("inf")),
+        ("center", (None, 0.0)),
+    ],
+)
+def test_slice_spec_rejects_non_numeric_and_non_finite_values(field, value):
+    spec = SliceSpec.default(2, width=4, height=4)
+    with pytest.raises(InputError):
+        dataclasses.replace(spec, **{field: value})
 
 
 @pytest.mark.parametrize("res", ["12y9", "0x4", "axb", "12", "12x-4"])
@@ -396,3 +431,23 @@ def test_unknown_option_is_invalid_input(capsys):
 def test_exit_codes_cover_the_documented_failure_modes():
     assert cli.EXIT_OK == 0
     assert sorted(set(cli.EXIT_CODES.values())) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "exc, code, line",
+    [
+        (ParseError("bad", 3), 2, "critfin: invalid input: bad (at position 3)"),
+        (BudgetError("spent"), 3, "critfin: budget exhausted: spent"),
+        (DegenerateEliminationError("flat"), 4, "critfin: solver shortfall: flat"),
+        (UnwritableOutputError("ro"), 5, "critfin: cannot write output: ro"),
+        (PermissionError("denied"), 5, "critfin: cannot write output: denied"),
+        (CritfinError("other"), 2, "critfin: other"),
+    ],
+)
+def test_failures_map_to_exit_code_and_stderr_line(monkeypatch, capsys, exc, code, line):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    assert cli.main(["analyze", "f"]) == code
+    assert capsys.readouterr().err == line + "\n"

@@ -341,10 +341,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _Parser:
     """Recursive-descent parser producing possibly-inhomogeneous term dicts."""
 
-    def __init__(self, text: str, num_vars: int):
+    def __init__(self, text: str, num_vars: int, max_degree: float = float("inf")):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.num_vars = num_vars
+        self.max_degree = max_degree  # a product above it is refused unexpanded
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -457,6 +458,10 @@ class _Parser:
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", at)
 
     def _mul(self, a: dict, b: dict) -> dict:
+        degree = sum(max((sum(e) for e, c in x.items() if c), default=0) for x in (a, b))
+        if degree > self.max_degree:
+            msg = f"a product of degree {degree} exceeds the declared degree {self.max_degree}"
+            raise ParseError(msg, self.tokens[self.pos - 1][2])
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -643,11 +648,9 @@ def _clear_denominators(p: HomogPoly) -> tuple[int, dict[tuple[int, ...], int]]:
     return L, {e: int(c * L) for e, c in p.terms.items()}
 
 
-def _charpoly(rows: list[list[int]]) -> list[int]:
-    """Coefficients of det(s*I - rows), lowest power of s first."""
-    n = len(rows)
-    chi = DomainMatrix([[ZZ(c) for c in row] for row in rows], (n, n), ZZ).charpoly()
-    return [int(c) for c in reversed(chi)]
+def _charpoly(m: DomainMatrix) -> list[int]:
+    """Coefficients of det(s*I - m), lowest power of s first."""
+    return [int(c) for c in reversed(m.charpoly())]
 
 
 def resultant(forms: Sequence[HomogPoly]) -> Fraction:
@@ -667,7 +670,8 @@ def resultant(forms: Sequence[HomogPoly]) -> Fraction:
     characteristic polynomial).  Writing chi(s) = det(sI - .) and k for the
     order to which chi_M' vanishes at 0 (k = 0 unless M' is singular), that
     value is (-1)^(n - n') [s^k]chi_M / [s^k]chi_M'.  A singular minor thus
-    takes the same path as a regular one.
+    takes the same path as a regular one.  When M' is regular (k = 0) the
+    numerator is (-1)^n det M, and chi_M itself is never computed.
 
     Parameters
     ----------
@@ -710,12 +714,13 @@ def resultant(forms: Sequence[HomogPoly]) -> Fraction:
         for expo, c in cleared[i][1].items():
             row[index_of[tuple(a + b for a, b in zip(expo, shift))]] = c
         big.append(row)
-    chi = _charpoly(big)
-    chi_minor = _charpoly([[big[r][c] for c in nonreduced] for r in nonreduced])
+    M = DomainMatrix([[ZZ(c) for c in row] for row in big], (len(big), len(big)), ZZ)
+    chi_minor = _charpoly(M.extract(nonreduced, nonreduced))
     k = next(j for j, c in enumerate(chi_minor) if c)
-    if chi[k] % chi_minor[k] != 0:  # pragma: no cover - theory says exact
+    lead = (-1) ** len(big) * int(M.det()) if k == 0 else _charpoly(M)[k]
+    if lead % chi_minor[k] != 0:  # pragma: no cover - theory says exact
         raise ArityError("Macaulay quotient failed to divide exactly")
-    res_int = (-1) ** (len(mons) - len(nonreduced)) * (chi[k] // chi_minor[k])
+    res_int = (-1) ** (len(mons) - len(nonreduced)) * (lead // chi_minor[k])
     # Res is homogeneous of degree prod(d_j, j != i) in the coefficients of f_i
     scale = prod(L ** prod(degrees[:i] + degrees[i + 1 :]) for i, (L, _) in enumerate(cleared))
     return Fraction(res_int, scale)

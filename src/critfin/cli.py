@@ -15,18 +15,16 @@ shortfall, 5 unwritable output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import random
 import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .algebra import poly_parse
-from .config import Config, resolve
+from .algebra import HomogPoly, _Parser
+from .config import DEFAULT, Config, resolve
 from .dynamics import Endomorphism, PeriodicPoint, endo_new, find_periodic
 from .errors import (
     BudgetError,
@@ -40,7 +38,7 @@ from .geometry import ProjPoint
 from .postcritical import ClassificationReport, classify
 from .ramification import certify_ramification
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -100,7 +98,9 @@ def load_map(source: str) -> tuple[Endomorphism, dict]:
 
     The document must declare ``dimension`` (1 or 2), ``degree``, and
     ``components`` (k+1 polynomial strings); the declared degree must match
-    the parsed one exactly.
+    the parsed one exactly.  It is enforced before any expansion: a product
+    above it is a ParseError, and a plane map whose critical set, of degree
+    3(d - 1), is too large to factor is a BudgetError.
     """
     try:
         doc = json.loads(_map_text(source))
@@ -121,11 +121,14 @@ def load_map(source: str) -> tuple[Endomorphism, dict]:
         or not all(isinstance(c, str) for c in comps)
     ):
         raise InputError(f"a map of P^{k} needs exactly {k + 1} component strings")
-    f = endo_new([poly_parse(c, k + 1) for c in comps])
-    if f.degree != doc["degree"]:
-        raise InputError(
-            f"declared degree {doc['degree']} but the components parse to degree {f.degree}"
-        )
+    d, cap = doc["degree"], DEFAULT.factor_degree_cap
+    if not isinstance(d, int):
+        raise InputError(f"degree must be an integer, got {d!r}")
+    if k == 2 and 3 * (d - 1) > cap:
+        raise BudgetError(f"critical set degree {3 * (d - 1)} exceeds the factorization cap {cap}")
+    f = endo_new([HomogPoly(k + 1, _Parser(c, k + 1, d).parse()) for c in comps])
+    if f.degree != d:
+        raise InputError(f"declared degree {d} but the components parse to degree {f.degree}")
     return f, doc
 
 
@@ -159,15 +162,11 @@ def build_report(
     classification: ClassificationReport,
     periodic: list[PeriodicPoint],
     cfg: Config,
-    seed: int,
-    certificates: list[dict] | None = None,
-    renders: list[dict] | None = None,
 ) -> dict:
     """The full JSON report: map echo, verdicts, and the deciding config."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "critfin", "version": __version__},
-        "seed": seed,
         "map": {
             "dimension": f.k,
             "degree": f.degree,
@@ -182,15 +181,7 @@ def build_report(
         },
         "classification": classification.as_dict(),
         "periodic_points": [_periodic_dict(pp, cfg) for pp in periodic],
-        "ramification_certificates": list(certificates or []),
-        "render_summaries": list(renders or []),
     }
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _tri(verdict) -> str:
@@ -212,6 +203,15 @@ def _config_from(args) -> Config:
     return cfg
 
 
+def _point_text(point: ProjPoint, cfg: Config) -> str:
+    """``repr(point)``, but float parts within cluster_tol of 0 show as 0 (imaginary: dropped)."""
+    if point.exact:
+        return repr(point)
+    tol = cfg.cluster_tol
+    zs = [complex(*(x if abs(x) > tol else 0.0 for x in (c.real, c.imag))) for c in point.coords]
+    return "[" + " : ".join(f"{z:.6g}" if z.imag else f"{z.real:.6g}" for z in zs) + "]~"
+
+
 def cmd_analyze(args) -> int:
     f, doc = load_map(args.map)
     cfg = _config_from(args)
@@ -225,10 +225,12 @@ def cmd_analyze(args) -> int:
         print(f"{n}-critically finite: {_tri(lvl.verdict)}")
     print(f"periodic points of period <= 2: {len(periodic)}")
     for pp in periodic:
-        print(f"  {pp.point}  period {pp.period}  {pp.classification}")
+        print(f"  {_point_text(pp.point, cfg)}  period {pp.period}  {pp.classification}")
 
     if args.report:
-        _write_json(build_report(f, doc, classification, periodic, cfg, args.seed), args.report)
+        report = build_report(f, doc, classification, periodic, cfg)
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     budget_hit = any(lvl.finite_order is None for lvl in classification.levels.values())
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
@@ -262,58 +264,17 @@ def _parse_res(text: str) -> tuple[int, int]:
     return width, height
 
 
-def _coerce_complex(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        try:
-            return complex(value.replace(" ", ""))
-        except ValueError:
-            raise InputError(f"{what} is not a complex number: {value!r}") from None
-    raise InputError(f"{what} must be a number or a complex-number string")
-
-
-def _parse_slice(text: str | None, k: int, width: int, height: int) -> SliceSpec:
-    default = SliceSpec.default(k, width=width, height=height)
-    if text is None:
-        return default
+def _parse_slice(text: str, k: int, width: int, height: int) -> SliceSpec:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"--slice is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("--slice must be a JSON object")
-    allowed = {"base", "dir_u", "dir_v", "chart", "center", "extent"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {"base", "dir_u", "dir_v", "chart", "center", "extent"}
     if unknown:
         raise InputError(f"unknown slice keys: {', '.join(sorted(unknown))}")
-    kwargs = {
-        "base": default.base,
-        "dir_u": default.dir_u,
-        "dir_v": default.dir_v,
-        "chart": default.chart,
-        "center": default.center,
-        "extent": default.extent,
-    }
-    for key in ("base", "dir_u", "dir_v"):
-        if key in doc:
-            if not isinstance(doc[key], list):
-                raise InputError(f"slice {key} must be a list of coordinates")
-            kwargs[key] = tuple(_coerce_complex(v, f"slice {key} entry") for v in doc[key])
-    if "chart" in doc:
-        if not isinstance(doc["chart"], int):
-            raise InputError("slice chart must be an integer index")
-        kwargs["chart"] = doc["chart"]
-    if "center" in doc:
-        center = doc["center"]
-        if not isinstance(center, list) or len(center) != 2:
-            raise InputError("slice center must be a [u, v] pair")
-        kwargs["center"] = tuple(center)
-    if "extent" in doc:
-        if not isinstance(doc["extent"], (int, float)):
-            raise InputError("slice extent must be a number")
-        kwargs["extent"] = float(doc["extent"])
-    return SliceSpec(width=width, height=height, **kwargs)
+    return dataclasses.replace(SliceSpec.default(k, width=width, height=height), **doc)
 
 
 def _sidecar_path(out: Path) -> Path:
@@ -351,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Critical finiteness, ramification certificates, and basin renders "
         "for polynomial endomorphisms of P^1 and P^2.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for any stochastic perturbation (default 0; echoed in reports)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser(
@@ -384,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("map", help="map file path or bundled fixture name")
     render.add_argument(
         "--slice",
+        default="{}",
         help="JSON slice spec: base, dir_u, dir_v, chart, center, extent "
         "(defaults to the standard chart window)",
     )
@@ -402,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed its diagnostic; fold its failure into the
         # invalid-input code and let --help exit cleanly
         return EXIT_INPUT if exc.code else EXIT_OK
-    random.seed(args.seed)
-    np.random.seed(args.seed % 2**32)
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -85,10 +85,9 @@ class TargetSet:
 def build_targets(
     f: Endomorphism,
     report: ClassificationReport | None = None,
-    n_max: int = 2,
     cfg: Config | None = None,
 ) -> TargetSet:
-    """Certified cycles up to period ``n_max`` plus the stabilized components.
+    """Certified cycles of period at most 2 plus the stabilized components.
 
     When no classification report is supplied one is computed (up to the
     order the dimension supports).  Periodic points coming back from the
@@ -112,7 +111,7 @@ def build_targets(
     cycles: list[list[ProjPoint]] = []
     classifications: list[str] = []
     claimed: list[ProjPoint] = []
-    for pp in find_periodic(f, n_max, cfg):
+    for pp in find_periodic(f, 2, cfg):
         if any(pp.point.is_close(q, cfg.cluster_tol) for q in claimed):
             continue
         orbit = [pp.point]
@@ -515,13 +514,20 @@ class SliceSpec:
     height: int = 128
 
     def __post_init__(self):
+        coords = {"base": self.base, "dir_u": self.dir_u, "dir_v": self.dir_v}
+        if not all(isinstance(x, (list, tuple)) for x in (*coords.values(), self.center)):
+            raise InputError("slice base, directions and center must be lists of coordinates")
+        if not isinstance(self.chart, int) or not isinstance(self.extent, (int, float)):
+            raise InputError("slice chart must be an integer and extent a number")
         try:
-            object.__setattr__(self, "base", tuple(complex(c) for c in self.base))
-            object.__setattr__(self, "dir_u", tuple(complex(c) for c in self.dir_u))
-            object.__setattr__(self, "dir_v", tuple(complex(c) for c in self.dir_v))
-            object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        except (TypeError, ValueError):
-            raise InputError("slice coordinates and center must be numbers") from None
+            for key, vals in coords.items():  # complex() refuses inner spaces, as in "1 + 2j"
+                vals = (c.replace(" ", "") if isinstance(c, str) else c for c in vals)
+                object.__setattr__(self, key, tuple(map(complex, vals)))
+            u, v = self.center
+            object.__setattr__(self, "center", (float(u), float(v)))
+            object.__setattr__(self, "extent", float(self.extent))
+        except (TypeError, ValueError, OverflowError):
+            raise InputError("slice values must be numbers and center a (u, v) pair") from None
         k = len(self.base)
         if k < 1 or len(self.dir_u) != k or len(self.dir_v) != k:
             raise InputError("base point and direction vectors need matching lengths")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from critfin import algebra
 from critfin.algebra import (
     Factorization,
     HomogPoly,
@@ -424,6 +425,33 @@ def test_resultant_degenerate_denominator_uses_perturbation():
     assert resultant(forms) == 40176
     sub = [Z3, W3 + Z3, T3]
     assert resultant([f.compose(sub) for f in forms]) == 40176
+
+
+def test_regular_minor_never_takes_the_charpoly_of_the_full_matrix(monkeypatch):
+    sizes = []
+    real_charpoly = algebra._charpoly
+
+    def spy(m):
+        sizes.append(m.shape[0])
+        return real_charpoly(m)
+
+    monkeypatch.setattr(algebra, "_charpoly", spy)
+    # ternary quadrics: M is 15 x 15, its minor M' is the 3 x 3 identity
+    assert resultant([poly_parse("z^2 - w*t"), poly_parse("w^2", 3), poly_parse("t^2", 3)]) == 1
+    assert sizes == [3]
+    sizes.clear()
+    # binary forms: M is the Sylvester matrix and M' is empty
+    assert resultant([poly_parse("z - w", 2), poly_parse("z + w", 2)]) == 2
+    assert sizes == [0]
+    sizes.clear()
+    # a singular minor still reads [s^k] off the charpoly of M
+    forms = [
+        poly_parse("3*z*w - 2*w^2", 3),
+        poly_parse("3*w^2 + 3*z*t - 2*t^2"),
+        poly_parse("3*z^2 + 3*w^2 - 2*t^2"),
+    ]
+    assert resultant(forms) == 40176
+    assert sizes == [3, 15]
 
 
 def test_resultant_invariant_under_unimodular_substitution():

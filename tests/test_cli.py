@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from critfin import cli
-from critfin.algebra import poly_parse
+from critfin.algebra import _Parser, poly_parse
 from critfin.config import DEFAULT, Config
 from critfin.dynamics import endo_new
 from critfin.errors import (
@@ -22,6 +22,7 @@ from critfin.errors import (
     UnwritableOutputError,
 )
 from critfin.fatou import SliceSpec
+from critfin.geometry import ProjPoint
 
 
 def run(argv):
@@ -79,6 +80,7 @@ def test_load_map_from_path(tmp_path):
         '{"dimension": 1, "degree": 2, "components": ["z^2 +", "w^2"]}',
         '{"dimension": 1, "degree": 3, "components": ["z^2", "w^2"]}',
         '{"dimension": 1, "degree": 2, "components": ["z^2", "w^3"]}',
+        '{"dimension": 2, "degree": "2", "components": ["z^2", "w^2", "t^2"]}',
         "not json at all",
     ],
 )
@@ -87,6 +89,44 @@ def test_load_map_rejects_malformed_documents(tmp_path, doc):
     path.write_text(doc)
     with pytest.raises(InputError):
         cli.load_map(str(path))
+
+
+@pytest.fixture
+def counted_mul(monkeypatch):
+    """Counts the parser's polynomial products; reads back as calls[0]."""
+    calls = [0]
+    real_mul = _Parser._mul
+
+    def counting_mul(self, a, b):
+        calls[0] += 1
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(_Parser, "_mul", counting_mul)
+    return calls
+
+
+def _map_file(tmp_path, degree, components):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dimension": 2, "degree": degree, "components": components}))
+    return str(path)
+
+
+def test_load_map_refuses_a_critical_set_beyond_the_factoring_cap(tmp_path, counted_mul):
+    # 3(d - 1) = 27 > 24: refused before any component is parsed
+    path = _map_file(tmp_path, 10, ["(z+w+t)^10", "w^10", "t^10"])
+    with pytest.raises(BudgetError, match="factorization cap"):
+        cli.load_map(path)
+    assert counted_mul[0] == 0
+    assert cli.main(["analyze", path]) == cli.EXIT_BUDGET
+
+
+def test_load_map_stops_at_a_product_above_the_declared_degree(tmp_path, counted_mul):
+    path = _map_file(tmp_path, 2, ["(z+w+t)^64", "w^2", "t^2"])
+    with pytest.raises(ParseError, match="declared degree 2"):
+        cli.load_map(path)
+    # the square has degree 2; the next squaring is refused unexpanded
+    assert counted_mul[0] == 2
+    assert cli.main(["analyze", path]) == cli.EXIT_INPUT
 
 
 def test_load_map_unknown_source_names_the_bundled_maps():
@@ -116,11 +156,28 @@ def test_analyze_verdict_lines(f_analysis):
     assert "superattracting-nilpotent-nonzero" in out
 
 
-def test_report_identity_and_seed(f_analysis):
+def test_analyze_prints_points_without_float_dust(f_analysis):
+    _, out, _ = f_analysis
+    points = [line for line in out.splitlines() if line.startswith("  ")]
+    assert len(points) == 21
+    assert not any("e-" in line or "0j" in line for line in points)
+    assert "  [1 : -0.5-0.866025j : 0]~  period 2  other" in points
+    assert "  [-0.618034 : 1 : 1]~  period 1  other" in points
+
+
+def test_point_text_zeroes_parts_within_the_tolerance():
+    coords = (1 + 0j, -3e-9 + 0.25j, complex(-0.0, -2e-9), complex(0.5, -0.0))
+    point = ProjPoint(coords, exact=False)
+    assert cli._point_text(point, Config(cluster_tol=1e-8)) == "[1 : 0+0.25j : 0 : 0.5]~"
+    assert repr(point) == "[1+0j : -3e-09+0.25j : -0-2e-09j : 0.5-0j]~"
+    exact = ProjPoint.exact_point([1, 0, 2])
+    assert cli._point_text(exact, DEFAULT) == repr(exact)
+
+
+def test_report_identity(f_analysis):
     _, _, report = f_analysis
     assert report["schema_version"] == cli.SCHEMA_VERSION
     assert report["tool"]["name"] == "critfin"
-    assert report["seed"] == 0
     assert report["map"]["name"] == "f"
 
 
@@ -158,11 +215,11 @@ def test_report_echoes_every_config_knob(f_analysis):
 
 def test_mutating_any_knob_changes_the_echo():
     f, doc = cli.load_map("quadratic")
-    base = cli.build_report(f, doc, _tiny_classification(f), [], DEFAULT, seed=0)
+    base = cli.build_report(f, doc, _tiny_classification(f), [], DEFAULT)
     for field in dataclasses.fields(Config):
         old = getattr(DEFAULT, field.name)
         bumped = DEFAULT.with_overrides(**{field.name: old * 2 + 1})
-        mutated = cli.build_report(f, doc, _tiny_classification(f), [], bumped, seed=0)
+        mutated = cli.build_report(f, doc, _tiny_classification(f), [], bumped)
         assert mutated["config"] != base["config"], field.name
         assert mutated["config"][field.name] != base["config"][field.name]
 
@@ -192,11 +249,11 @@ def test_analyze_order_two_exposes_the_vertex_inventory(tmp_path):
     assert levels["2"]["verdict"] is False
 
 
-def test_analyze_seed_is_echoed(tmp_path):
-    report_path = tmp_path / "seeded.json"
-    code, _ = run(["--seed", "7", "analyze", "quadratic", "--report", str(report_path)])
-    assert code == cli.EXIT_OK
-    assert json.loads(report_path.read_text())["seed"] == 7
+def test_seed_option_is_unknown(capsys):
+    code, out = run(["--seed", "7", "analyze", "quadratic"])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "usage: critfin" in capsys.readouterr().err
 
 
 def test_analyze_budget_exhaustion_exits_3(capsys):
@@ -264,10 +321,11 @@ def test_solver_shortfall_exits_4(monkeypatch, capsys):
 
 #: SHA-256 of outputs recorded before exact elimination moved onto sympy's
 #: dense domains; every float in them (Newton polish, complex fibers,
-#: floating roots) must come back bit for bit
+#: floating roots) must come back bit for bit.  The report digests are of
+#: schema-version-2 reports.
 ELIMINATION_DIGESTS = {
-    "analyze f": "ba5c10edc4b7a39b21123c7a32538a4419d1574a15f3b169a4fc589adbf5201f",
-    "analyze power": "b33d2059bfd4a5f284f0bf7e134727ffbf9cec6fd5c093097cf866bdc55137d9",
+    "analyze f": "84baee3f1b9273769d74f1776bfc4a582ddec959fb83b9ee1f9799898bc51606",
+    "analyze power": "d52da19a86fd3ce0f080d7f280a4f9686fb8af4db3e4951d633f9fb23e33249e",
     "certify f 2,3,5 3": "17898588c6040884ed9e23ebc2c2f94a01c6e47ca4c8ef076be067542cfe9489",
 }
 
@@ -380,6 +438,13 @@ def test_render_rejects_malformed_slices(tmp_path, spec):
         ("center", (float("inf"), 0.0)),
         ("extent", float("inf")),
         ("center", (None, 0.0)),
+        ("base", "12"),
+        ("center", "12"),
+        ("chart", "z"),
+        ("extent", "wide"),
+        ("center", (1,)),
+        ("base", (10**400, 0)),
+        ("extent", 10**400),
     ],
 )
 def test_slice_spec_rejects_non_numeric_and_non_finite_values(field, value):

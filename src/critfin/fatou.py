@@ -11,17 +11,22 @@ everything else is ``undecided``.  Slice renders classify a whole pixel grid
 of start points and can be written out as a PPM image with a JSON legend
 sidecar.
 
-The orbit kernel runs the columns in fixed-size tiles, so its working memory
-is O(tile) whatever the number of start points.  It keeps one streak counter
-per orbit, which assumes the target cycles are disjoint: an orbit within the
-convergence tolerance of two cycles at once is refused with ``InputError``.
+The orbit kernel runs the columns in fixed-size tiles, on every usable CPU
+when there are several, so its working memory is O(tile) per process whatever
+the number of start points; a render builds each tile's start points from the
+slice and keeps only a label and an iteration count per pixel.  It keeps one
+streak counter per orbit, which assumes the target cycles are disjoint: an
+orbit within the convergence tolerance of two cycles at once is refused with
+``InputError``.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -148,6 +153,12 @@ def _form_terms(forms: Sequence[HomogPoly]) -> list[list[tuple[tuple[int, ...], 
 
 
 def _eval_terms(terms: list[tuple[tuple[int, ...], complex]], coords: np.ndarray) -> np.ndarray:
+    # Keep this expression as it is: the rendered bytes depend on it.  In
+    # ``t * coords[var] ** e`` numpy reuses the power's buffer once it holds
+    # 256 KiB (2**14 complex columns, one full tile) and computes
+    # ``power * t`` in place, and its complex multiply is not bitwise
+    # commutative.  Naming the power, caching powers or changing _TILE
+    # changes the last bits, and with them the verdicts of chaotic orbits.
     acc = np.zeros(coords.shape[1], dtype=complex)
     for exps, c in terms:
         t = np.full(coords.shape[1], c, dtype=complex)
@@ -167,17 +178,30 @@ def _eval_forms(all_terms: list[list], coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _anchor_charts(
-    cycles: list[list[ProjPoint]],
-) -> list[tuple[int, list[tuple[int, np.ndarray]]]]:
-    """Cycle members grouped by chart: (chart, [(cycle id, chart-normalized lift)])."""
-    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+def _anchor_charts(cycles: list[list[ProjPoint]]) -> list[tuple[int, int, list]]:
+    """Cycle members grouped by chart, then by the value they are screened on.
+
+    One entry per chart: ``(chart, row, groups)``.  ``row`` is the non-chart
+    coordinate whose anchor values are most distinct (the lowest such index
+    on a tie), and each group is ``(anchor[row], members)`` with members
+    ``(order, cycle id, chart-normalized lift)``; ``order`` is the member's
+    place in its chart, the order in which clashes are checked.
+    """
+    charts: dict[int, list[tuple[int, np.ndarray]]] = {}
     for ci, cycle in enumerate(cycles):
         for p in cycle:
             v = np.asarray(p.to_complex(), dtype=complex)
             chart = int(np.argmax(np.abs(v)))
-            groups.setdefault(chart, []).append((ci, v / v[chart]))
-    return sorted(groups.items())
+            charts.setdefault(chart, []).append((ci, v / v[chart]))
+    out = []
+    for chart, members in sorted(charts.items()):
+        others = [j for j in range(len(members[0][1])) if j != chart]
+        row = max(others, key=lambda j: len({complex(a[j]) for _, a in members}))
+        groups: dict[complex, list[tuple[int, int, np.ndarray]]] = {}
+        for order, (ci, anchor) in enumerate(members):
+            groups.setdefault(complex(anchor[row]), []).append((order, ci, anchor))
+        out.append((chart, row, list(groups.items())))
+    return out
 
 
 def _nearest_cycle(coords: np.ndarray, charts: list, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,24 +217,32 @@ def _nearest_cycle(coords: np.ndarray, charts: list, tol: float) -> tuple[np.nda
     cycle = np.full(n, -1, dtype=np.int64)
     dist = np.full(n, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for chart, members in charts:
-            # the chart's own ratio is 1 wherever it is finite and screens nothing
-            row = 1 if chart == 0 else 0
+        for chart, row, groups in charts:
+            # the max-norm distance is below tol only if the screened
+            # coordinate's is, and that only if its real part's is
             screen = coords[row] / coords[chart]
-            for ci, anchor in members:
-                # the max-norm distance is below tol only if this one
-                # coordinate is, so screen on it before taking the others
-                diff = np.abs(screen - anchor[row])
-                hit = np.flatnonzero(diff < tol)
+            screen_re = np.ascontiguousarray(screen.real)
+            found = []
+            for value, members in groups:
+                hit = np.flatnonzero(np.abs(screen_re - value.real) < tol)
                 if not hit.size:
                     continue
-                diff = diff[hit]
-                sub = coords[:, hit]
-                for j in range(len(anchor)):
-                    if j != row:
-                        np.maximum(diff, np.abs(sub[j] / sub[chart] - anchor[j]), out=diff)
-                close = diff < tol
-                hit, diff = hit[close], diff[close]
+                near = np.abs(screen[hit] - value)
+                close = near < tol
+                hit, near = hit[close], near[close]
+                if not hit.size:
+                    continue
+                den = coords[chart][hit]
+                ratios = [(j, coords[j][hit] / den) for j in range(len(coords)) if j != row]
+                for order, ci, anchor in members:
+                    diff = near.copy()
+                    for j, ratio in ratios:
+                        np.maximum(diff, np.abs(ratio - anchor[j]), out=diff)
+                    close = diff < tol
+                    found.append((order, ci, hit[close], diff[close]))
+            # in the chart's member order, so a clash names the same pair of
+            # cycles however the members are grouped
+            for _, ci, hit, diff in sorted(found, key=lambda entry: entry[0]):
                 other = cycle[hit]
                 clash = (other >= 0) & (other != ci)
                 if clash.any():
@@ -266,47 +298,32 @@ def _component_distances(coords: np.ndarray, probes: list[tuple]) -> np.ndarray:
 _TILE = 1 << 14
 
 
-def _orbit_kernel(
-    f: Endomorphism,
-    coords: np.ndarray,
-    targets: TargetSet,
-    max_iter: int,
-    cfg: Config,
-) -> tuple[np.ndarray, ...]:
-    """Iterate every column of ``coords`` and classify each orbit.
+def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config):
+    """The orbit kernel for one tile, as a function of the tile's start lifts.
 
-    Returns per-column arrays: converged cycle index (-1 if none), the step
-    of confirmation, the confirming distance, the step at which the lift
-    degenerated (0 if never), the nearest-component index over the tail
-    window (-1 if unmeasured), and that best tail distance.
-
-    Columns run in tiles of ``_TILE``, so working memory is O(tile) beside
-    the per-column results.  Each orbit keeps one streak counter and the
-    cycle it counts toward, which assumes the target cycles are disjoint at
-    the convergence tolerance; an orbit near two cycles at once raises
-    ``InputError``.
+    It takes a (k+1, m) array, m at most ``_TILE``, and returns the six
+    per-column arrays ``_orbit_kernel`` describes for those columns.
     """
-    n = coords.shape[1]
     terms = _form_terms(f.forms)
     charts = _anchor_charts(targets.cycles)
     probes = _component_probes(targets.components)
-
-    cycle_idx = np.full(n, -1, dtype=np.int64)
-    conv_iter = np.zeros(n, dtype=np.int64)
-    conv_dist = np.full(n, np.inf)
-    overflow = np.zeros(n, dtype=np.int64)
-    comp_idx = np.full(n, -1, dtype=np.int64)
-    comp_dist = np.full(n, np.inf)
     tail_start = max_iter - cfg.convergence_window
 
-    for lo in range(0, n, _TILE):
-        # live state of the tile: lifts, global column ids, streak and the
-        # cycle it counts toward; retired orbits are dropped from all four
-        tile = coords[:, lo : lo + _TILE]
+    def run(tile: np.ndarray) -> tuple[np.ndarray, ...]:
+        size = tile.shape[1]
+        cycle_idx = np.full(size, -1, dtype=np.int64)
+        conv_iter = np.zeros(size, dtype=np.int64)
+        conv_dist = np.full(size, np.inf)
+        overflow = np.zeros(size, dtype=np.int64)
+        comp_idx = np.full(size, -1, dtype=np.int64)
+        comp_dist = np.full(size, np.inf)
+
+        # live state: lifts, column ids, streak and the cycle it counts
+        # toward; retired orbits are dropped from all four
         tile = tile / np.abs(tile).max(axis=0)
-        cols = np.arange(lo, lo + tile.shape[1])
-        streak = np.zeros(cols.size, dtype=np.int64)
-        last = np.full(cols.size, -1, dtype=np.int64)
+        cols = np.arange(size)
+        streak = np.zeros(size, dtype=np.int64)
+        last = np.full(size, -1, dtype=np.int64)
 
         for it in range(1, max_iter + 1):
             if not cols.size:
@@ -341,7 +358,89 @@ def _orbit_kernel(
                 comp_dist[cols] = np.where(better, best, comp_dist[cols])
                 comp_idx[cols] = np.where(better, d.argmin(axis=1), comp_idx[cols])
 
-    return cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist
+        return cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist
+
+    return run
+
+
+def _cpus() -> int:
+    # sched_getaffinity is Linux-only; elsewhere the tiles run serially
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+_work = None  # the tile function of a worker process, set by _start_worker
+
+
+def _start_worker(work) -> None:
+    global _work
+    _work = work
+
+
+def _work_on(bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    return _work(*bounds)
+
+
+def _run_tiles(work, out: tuple[np.ndarray, ...]) -> None:
+    """Fill the 1-D arrays ``out`` tile by tile from ``work(lo, hi)``, which
+    returns one array per output for columns lo..hi-1.
+
+    With two or more tiles and usable CPUs the tiles run in a pool of forked
+    workers, one per CPU at most; each result is written into ``out`` in tile
+    order as it arrives.  Forking hands ``work``, a closure, to the workers
+    without pickling it or importing anything again; only tile bounds and
+    results are pickled.  An exception raised in a worker is raised here, and
+    a worker that dies raises ``BrokenProcessPool`` instead of a hang.
+    """
+    n = out[0].size
+    bounds = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
+    workers = min(len(bounds), _cpus())
+    with contextlib.ExitStack() as stack:
+        if workers < 2:
+            results = (work(lo, hi) for lo, hi in bounds)
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, fork, _start_worker, (work,))
+            # after an error, tiles not yet started are dropped, not run
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(_work_on, bounds)
+        for (lo, hi), res in zip(bounds, results):
+            for dst, src in zip(out, res):
+                dst[lo:hi] = src
+
+
+def _orbit_kernel(
+    f: Endomorphism,
+    coords: np.ndarray,
+    targets: TargetSet,
+    max_iter: int,
+    cfg: Config,
+) -> tuple[np.ndarray, ...]:
+    """Iterate every column of ``coords`` and classify each orbit.
+
+    Returns per-column arrays: converged cycle index (-1 if none), the step
+    of confirmation, the confirming distance, the step at which the lift
+    degenerated (0 if never), the nearest-component index over the tail
+    window (-1 if unmeasured), and that best tail distance.
+
+    Columns run in tiles of ``_TILE``, on every usable CPU when there are
+    several tiles, so working memory is O(tile) per process beside the
+    per-column results.  Each orbit keeps one streak counter and the cycle
+    it counts toward, which assumes the target cycles are disjoint at the
+    convergence tolerance; an orbit near two cycles at once raises
+    ``InputError``.
+    """
+    n = coords.shape[1]
+    run = _tile_kernel(f, targets, max_iter, cfg)
+    dtypes = (np.int64, np.int64, float, np.int64, np.int64, float)
+    out = tuple(np.empty(n, dtype=d) for d in dtypes)
+    _run_tiles(lambda lo, hi: run(coords[:, lo:hi]), out)
+    return out
 
 
 def _verdicts(
@@ -589,20 +688,18 @@ class SliceSpec:
         affine.insert(self.chart, 1.0 + 0.0j)
         return ProjPoint.inexact(affine)
 
-    def grid(self) -> np.ndarray:
-        """All pixel-center lifts as one (k+1, width*height) array, row-major."""
-        us = self.center[0] - self.extent / 2 + (np.arange(self.width) + 0.5) * (
-            self.extent / self.width
-        )
-        vs = self.center[1] + self.extent / 2 - (np.arange(self.height) + 0.5) * (
-            self.extent / self.height
-        )
-        vgrid, ugrid = np.meshgrid(vs, us, indexing="ij")
-        u = ugrid.ravel()
-        v = vgrid.ravel()
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Pixel-center lifts of pixels lo..hi-1 (row-major) as a (k+1, hi-lo) array."""
+        row, col = np.divmod(np.arange(lo, hi), self.width)
+        u = self.center[0] - self.extent / 2 + (col + 0.5) * (self.extent / self.width)
+        v = self.center[1] + self.extent / 2 - (row + 0.5) * (self.extent / self.height)
         rows = [b + u * du + v * dv for b, du, dv in zip(self.base, self.dir_u, self.dir_v)]
         rows.insert(self.chart, np.ones(u.size, dtype=complex))
         return np.array(rows, dtype=complex)
+
+    def grid(self) -> np.ndarray:
+        """All pixel-center lifts as one (k+1, width*height) array, row-major."""
+        return self.columns(0, self.width * self.height)
 
 
 @dataclass
@@ -651,7 +748,11 @@ def render_slice(
     """Classify every pixel of a slice by sampling its center's orbit.
 
     Each pixel runs the same classification as ``sample_orbit`` on its slice
-    point; the result is deterministic for a fixed spec and configuration.
+    point; the result is deterministic for a fixed spec and configuration,
+    whatever the number of CPUs.  Start points are built one tile at a time
+    and each tile is reduced to labels and iteration counts at once, so
+    memory is O(tile) plus those two per pixel; several tiles run on every
+    usable CPU.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter
@@ -660,23 +761,26 @@ def render_slice(
     if len(spec.base) != f.k:
         raise InputError(f"the slice lives in P^{len(spec.base)}, the map on P^{f.k}")
 
-    coords = spec.grid()
-    cycle_idx, conv_iter, _, overflow, comp_idx, comp_dist = _orbit_kernel(
-        f, coords, targets, max_iter, cfg
-    )
-
+    run = _tile_kernel(f, targets, max_iter, cfg)
     m = len(targets.cycles)
-    labels = np.zeros(coords.shape[1], dtype=np.int16)
-    converged = cycle_idx >= 0
-    labels[converged] = (cycle_idx[converged] + 1).astype(np.int16)
-    escaped = (
-        ~converged & (overflow == 0) & (comp_idx >= 0) & (comp_dist < cfg.accumulation_tol)
-    )
-    labels[escaped] = m + 1
-    iterations = np.where(converged, conv_iter, max_iter).astype(np.int32)
+
+    def classify_tile(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        cycle_idx, conv_iter, _, overflow, comp_idx, comp_dist = run(spec.columns(lo, hi))
+        labels = np.zeros(hi - lo, dtype=np.int16)
+        converged = cycle_idx >= 0
+        labels[converged] = (cycle_idx[converged] + 1).astype(np.int16)
+        escaped = (
+            ~converged & (overflow == 0) & (comp_idx >= 0) & (comp_dist < cfg.accumulation_tol)
+        )
+        labels[escaped] = m + 1
+        return labels, np.where(converged, conv_iter, max_iter).astype(np.int32)
+
+    n_pix = spec.width * spec.height
+    labels = np.empty(n_pix, dtype=np.int16)
+    iterations = np.empty(n_pix, dtype=np.int32)
+    _run_tiles(classify_tile, (labels, iterations))
 
     legend = _legend_for(targets)
-    n_pix = float(coords.shape[1])
     summary = {
         name: float(np.count_nonzero(labels == label)) / n_pix
         for label, name in sorted(legend.items())

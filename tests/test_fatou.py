@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -599,7 +600,8 @@ def test_kernel_tiles_do_not_change_results(monkeypatch):
     assert outcomes == {CONVERGED, ACCUMULATES}
 
 
-def test_kernel_memory_does_not_grow_with_the_grid():
+def test_kernel_memory_does_not_grow_with_the_grid(monkeypatch):
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)  # trace the tiles in this process
     coords = SliceSpec.default(2, width=256, height=256).grid()
     f, T, cfg = f_map(), targets_for("f"), resolve(None)
     tracemalloc.start()
@@ -609,3 +611,200 @@ def test_kernel_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 20e6, f"kernel peaked at {peak / 1e6:.1f} MB"
+
+
+# lattes 128x128 is exactly one full tile of 2**14 columns, where numpy
+# computes the power in ``t * coords[var] ** e`` in place and rounds
+# differently from a smaller tile; recorded before the per-tile kernel
+_KERNEL_SHA256_LATTES128_30 = (
+    "b5a41c3758763bbec72769fab4a2533bf2db0b6312d93d25a695f9e4b9e02260",  # cycle index
+    "fa43239bcee7b97ca62f007cc68487560a39e19f74f3dde7486db3f98df8e471",  # step
+    "5f42542037e8dacd31104092fc2e76e82b0009135c64c3ef14923ce71d1d0853",  # distance
+    "fa43239bcee7b97ca62f007cc68487560a39e19f74f3dde7486db3f98df8e471",  # overflow
+    "fa43239bcee7b97ca62f007cc68487560a39e19f74f3dde7486db3f98df8e471",  # component
+    "44f1e7a72c16e49eb27814ccf23d10019748476300393f2d261bd8e828c54f60",  # tail distance
+)
+
+
+def test_full_tile_kernel_matches_recorded_digests():
+    coords = SliceSpec.default(1, width=128, height=128).grid()
+    assert coords.shape[1] == fatou._TILE
+    arrays = fatou._orbit_kernel(lattes_map(), coords, targets_for("lattes"), 30, resolve(None))
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+    assert digests == _KERNEL_SHA256_LATTES128_30
+
+
+def test_slice_columns_match_the_grid():
+    spec = SliceSpec((0.25, -1), (1, 0.5j), (0.5, 1), 1, (0.3, -0.2), 2.5, width=37, height=23)
+    grid = spec.grid()
+    for lo, hi in [(0, 7), (5, 300), (800, 851), (0, 851)]:
+        cols = spec.columns(lo, hi)
+        assert cols.shape == (3, hi - lo)
+        assert cols.tobytes() == grid[:, lo:hi].tobytes()
+
+
+def _nearest_cycle_reference(coords, cycles, tol):
+    """Every cycle member measured against every column, no screening."""
+    members = []
+    for ci, cycle in enumerate(cycles):
+        for p in cycle:
+            v = np.asarray(p.to_complex(), dtype=complex)
+            chart = int(np.argmax(np.abs(v)))
+            members.append((chart, ci, v / v[chart]))
+    members.sort(key=lambda m: m[0])  # stable: cycle order within a chart
+    n = coords.shape[1]
+    cycle = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, np.inf)
+    with np.errstate(all="ignore"):
+        for chart, ci, anchor in members:
+            d = np.abs(coords / coords[chart] - anchor[:, None]).max(axis=0)
+            for col in np.flatnonzero(d < tol):
+                if cycle[col] >= 0 and cycle[col] != ci:
+                    raise InputError(
+                        f"an orbit lies within {tol:g} of target cycles {cycle[col]} and {ci}"
+                        " at once; target cycles must be disjoint"
+                    )
+                cycle[col] = ci
+                dist[col] = min(dist[col], d[col])
+    return cycle, dist
+
+
+def _planted_columns(cycles, tol, rng):
+    """Random lifts, every member itself, and lifts at tol*(1 -/+ 1e-3) from
+    every member in each of its non-chart coordinates, along the real axis
+    both ways and in a random complex direction; all randomly rescaled."""
+    k1 = len(cycles[0][0].to_complex())
+    cols = [rng.normal(size=(k1, 64)) + 1j * rng.normal(size=(k1, 64))]
+    inside = 0
+    for cycle in cycles:
+        for p in cycle:
+            v = np.asarray(p.to_complex(), dtype=complex)
+            chart = int(np.argmax(np.abs(v)))
+            anchor = v / v[chart]
+            planted = [anchor]
+            for j in set(range(k1)) - {chart}:
+                for direction in (1, -1, np.exp(2j * np.pi * rng.uniform())):
+                    for scale in (1 - 1e-3, 1 + 1e-3):
+                        col = anchor.copy()
+                        col[j] += tol * scale * direction
+                        planted.append(col)
+            inside += 1 + 3 * (k1 - 1)
+            for col in planted:
+                cols.append((col * np.exp(2j * np.pi * rng.uniform()))[:, None])
+    return np.hstack(cols), inside
+
+
+@pytest.mark.parametrize("name", ["f", "lattes"])
+def test_nearest_cycle_matches_a_brute_force_reference(name):
+    T = targets_for(name)
+    tol = resolve(None).convergence_tol
+    charts = fatou._anchor_charts(T.cycles)
+    if name == "f":  # members that share a screening value are checked as one group
+        assert any(len(members) > 1 for _, _, groups in charts for _, members in groups)
+    coords, inside = _planted_columns(T.cycles, tol, np.random.default_rng(11))
+    cycle, dist = fatou._nearest_cycle(coords, charts, tol)
+    ref_cycle, ref_dist = _nearest_cycle_reference(coords, T.cycles, tol)
+    assert np.count_nonzero(cycle >= 0) == inside
+    assert cycle.tobytes() == ref_cycle.tobytes()
+    assert dist.tobytes() == ref_dist.tobytes()
+
+    # one cycle listed twice, then every cycle listed twice in reverse order,
+    # where the first clash met depends on the order members are checked in
+    duplicated = [T.cycles + [T.cycles[i]] for i in range(len(T.cycles))]
+    for twice in duplicated + [T.cycles + T.cycles[::-1]]:
+        with pytest.raises(InputError) as ref_err:
+            _nearest_cycle_reference(coords, twice, tol)
+        with pytest.raises(InputError) as err:
+            fatou._nearest_cycle(coords, fatou._anchor_charts(twice), tol)
+        assert str(err.value) == str(ref_err.value)
+
+
+def _pool_runs(monkeypatch):
+    """Record the worker count of every pool the kernel starts."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    runs = []
+    pool_map = ProcessPoolExecutor.map
+
+    def counted(self, *args, **kwargs):
+        runs.append(self._max_workers)
+        return pool_map(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", counted)
+    return runs
+
+
+def test_worker_pool_gives_the_serial_results(monkeypatch):
+    import multiprocessing
+
+    f, T, cfg = f_map(), targets_for("f"), resolve(None)
+    spec = SliceSpec.default(2, width=24, height=24)
+    runs = _pool_runs(monkeypatch)
+    monkeypatch.setattr(fatou, "_TILE", 100)  # 576 columns: 6 tiles, the last ragged
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(fatou, "_cpus", lambda: cpus)
+        img = render_slice(f, spec, T, max_iter=60)
+        results[cpus] = (
+            fatou._orbit_kernel(f, spec.grid(), T, cfg.max_orbit_iters, cfg),
+            img.labels,
+            img.iterations,
+        )
+    assert runs == [2, 2]
+    (kernel_1, *image_1), (kernel_2, *image_2) = results[1], results[2]
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in kernel_2)
+    assert digests == _KERNEL_SHA256_F24
+    for a, b in zip((*kernel_1, *image_1), (*kernel_2, *image_2)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_clash_reaches_the_caller(monkeypatch):
+    import multiprocessing
+
+    T = targets_for("f")
+    i = cycle_index(T, pt(0, 0, 1))
+    twice = TargetSet(
+        cycles=T.cycles + [T.cycles[i]],
+        classifications=T.classifications + [T.classifications[i]],
+        components=T.components,
+    )
+    spec = SliceSpec.default(2, width=16, height=16)
+    runs = _pool_runs(monkeypatch)
+    monkeypatch.setattr(fatou, "_TILE", 64)
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(fatou, "_cpus", lambda: cpus)
+        with pytest.raises(InputError) as err:
+            render_slice(f_map(), spec, twice)
+        messages.append(str(err.value))
+    assert runs == [2]
+    assert messages[0] == messages[1]
+    assert f"cycles {i} and {len(T.cycles)}" in messages[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_fails_the_call(monkeypatch):
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    out = (np.zeros(3 * fatou._TILE),)
+    with pytest.raises(BrokenProcessPool):
+        fatou._run_tiles(lambda lo, hi: os._exit(1), out)
+    assert multiprocessing.active_children() == []
+
+
+def test_render_memory_is_per_tile(monkeypatch):
+    # the whole 512x512 start grid alone peaks near 28 MB; per-tile columns
+    # leave the tile's working set plus the per-pixel labels and iterations
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)
+    f, T = f_map(), targets_for("f")
+    spec = SliceSpec.default(2, width=512, height=512)
+    tracemalloc.start()
+    try:
+        render_slice(f, spec, T, max_iter=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"render peaked at {peak / 1e6:.1f} MB"

@@ -63,6 +63,20 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def rational_content(values: Iterable[Fraction]) -> Fraction:
+    """The positive rational c making values / c coprime integers (0 if all are 0).
+
+    For fractions in lowest terms that is the gcd of the numerators over the
+    lcm of the denominators.
+    """
+    num = 0
+    den = 1
+    for c in values:
+        num = gcd(num, abs(c.numerator))
+        den = lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
 class HomogPoly:
     """A homogeneous polynomial with exact rational coefficients.
 
@@ -233,14 +247,7 @@ class HomogPoly:
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * primitive-integer-part (0 for 0)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+        return rational_content(self.terms.values())
 
     def normalized(self) -> "HomogPoly":
         """Normal form: primitive integer coefficients, positive leading sign."""
@@ -511,7 +518,7 @@ def to_sympy(p: HomogPoly) -> sp.Poly:
 
 
 def to_fraction(value) -> Fraction:
-    """A sympy rational (or integer) as a Fraction."""
+    """A sympy or polys-domain rational (or integer) as a Fraction."""
     q = sp.Rational(value)
     return Fraction(int(q.p), int(q.q))
 
@@ -641,11 +648,12 @@ def factor_uncapped(p: HomogPoly) -> Factorization:
 
 
 def _clear_denominators(p: HomogPoly) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Return (L, integer terms) with L*p having the integer coefficients."""
-    L = 1
-    for c in p.terms.values():
-        L = lcm(L, c.denominator)
-    return L, {e: int(c * L) for e, c in p.terms.items()}
+    """Return (L, integer terms) with L*p having the integer coefficients.
+
+    L is the least common denominator of p's coefficients.
+    """
+    L = lcm(*(c.denominator for c in p.terms.values()))
+    return L, {e: c.numerator * (L // c.denominator) for e, c in p.terms.items()}
 
 
 def _charpoly(m: DomainMatrix) -> list[int]:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     # -- numeric tolerances ------------------------------------------------
     #: residual below which an inexact point is accepted as lying on a variety

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Sequence
 
 import sympy as sp
@@ -30,6 +28,7 @@ from .algebra import (
     factor_uncapped,
     from_sympy,
     poly_gcd,
+    rational_content,
     resultant,
     to_sympy,
 )
@@ -60,19 +59,8 @@ UNDECIDED = "undecided"
 
 def _primitive_tuple(forms: list[HomogPoly]) -> tuple[HomogPoly, ...]:
     """Remove the common rational content of the tuple, keeping relative scales."""
-    from math import lcm
-
-    den = 1
-    for f in forms:
-        for c in f.terms.values():
-            den = lcm(den, c.denominator)
-    num = 0
-    for f in forms:
-        for c in f.terms.values():
-            num = int_gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    lead = forms[0].leading_term()[1]
-    if lead < 0:
+    scale = 1 / rational_content(c for f in forms for c in f.terms.values())
+    if forms[0].leading_term()[1] < 0:
         scale = -scale
     return tuple(f * scale for f in forms)
 
@@ -403,7 +391,6 @@ def find_periodic(f: Endomorphism, n_max: int, cfg: Config | None = None) -> lis
     for n in range(1, n_max + 1):
         g = iterate(f, n, cfg)
         for cand in _fixed_point_candidates(g, cfg):
-            cand = _snap_candidate(g, cand, cfg)
             if not _is_fixed(g, cand, cfg):
                 continue
             if any(pp.point.is_close(cand, cfg.cluster_tol) for pp in found):
@@ -418,20 +405,15 @@ def find_periodic(f: Endomorphism, n_max: int, cfg: Config | None = None) -> lis
     return found
 
 
-def _snap_candidate(g: Endomorphism, cand: ProjPoint, cfg: Config) -> ProjPoint:
-    if cand.exact:
-        return cand
-    snapped = cand.snap_to_rational(cfg)
-    if snapped is not None and g(snapped) == snapped:
-        return snapped
-    return cand
+def _miss(image: ProjPoint, p: ProjPoint) -> float:
+    """Chordal distance from image to p: exactly 0.0 or 1.0 when both are exact."""
+    if image.exact and p.exact:
+        return 0.0 if image == p else 1.0
+    return image.chordal(p)
 
 
 def _is_fixed(g: Endomorphism, p: ProjPoint, cfg: Config) -> bool:
-    image = g(p)
-    if p.exact and image.exact:
-        return image == p
-    return image.chordal(p) < cfg.residual_tol
+    return _miss(g(p), p) < cfg.residual_tol
 
 
 def _orbit_points(f: Endomorphism, pp: PeriodicPoint, cfg: Config) -> list[ProjPoint]:
@@ -456,7 +438,7 @@ def certify_superattracting(
     cfg = resolve(cfg)
     cycle = _orbit_points(f, pp, cfg)
     J = cycle_differential(f, cycle)
-    pp.residual = _fixed_residual(f, pp, cycle, cfg)
+    pp.residual = _miss(f(cycle[-1]), pp.point)
     if f.k == 1:
         lam = J.matrix[0][0]
         pp.eigen_data = (lam,)
@@ -468,13 +450,6 @@ def certify_superattracting(
     pp.eigen_data = (tr, det)
     pp.classification = _classify_matrix(J.matrix, tr, det, J.exact, cfg)
     return pp
-
-
-def _fixed_residual(f, pp, cycle, cfg) -> float:
-    closing = f(cycle[-1])
-    if closing.exact and pp.point.exact:
-        return 0.0 if closing == pp.point else 1.0
-    return closing.chordal(pp.point)
 
 
 def _classify_multiplier(lam, exact: bool, cfg: Config) -> str:
@@ -497,7 +472,9 @@ def _classify_matrix(matrix, tr, det, exact: bool, cfg: Config) -> str:
         if tr == 0 and det == 0:
             zero = all(v == 0 for row in matrix for v in row)
             return SUPERATTRACTING_ZERO if zero else SUPERATTRACTING_NILPOTENT
-        return _attracting_exact(tr, det)
+        # both roots of x^2 - tr x + det strictly inside the unit circle
+        # (Schur-Cohn for real rational coefficients)
+        return ATTRACTING if abs(det) < 1 and abs(tr) < 1 + det else OTHER
     scale = max(max(abs(complex(v)) for row in matrix for v in row), 1.0)
     tr_r = abs(complex(tr)) / scale
     det_r = abs(complex(det)) / scale**2
@@ -508,16 +485,6 @@ def _classify_matrix(matrix, tr, det, exact: bool, cfg: Config) -> str:
     if tr_r <= cfg.ambiguity_factor * tol and det_r <= cfg.ambiguity_factor * tol:
         return UNDECIDED
     return _attracting_numeric(tr, det, cfg)
-
-
-def _attracting_exact(tr, det) -> str:
-    # both roots of x^2 - tr x + det strictly inside the unit circle
-    # (Schur-Cohn for real rational coefficients)
-    if isinstance(tr, Fraction) and isinstance(det, Fraction):
-        if abs(det) < 1 and abs(tr) < 1 + det:
-            return ATTRACTING
-        return OTHER
-    return _attracting_numeric(tr, det, resolve(None))
 
 
 def _attracting_numeric(tr, det, cfg: Config) -> str:

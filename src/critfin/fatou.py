@@ -559,8 +559,8 @@ def escape_rate(
     integer coordinates for exact points, largest coordinate pinned to 1 for
     floating ones) and the result depends only on the point.  Pass an
     explicit coordinate sequence to evaluate a specific lift instead.
+    ``cfg`` is accepted like everywhere else; no knob affects the value.
     """
-    resolve(cfg)
     if n < 1:
         raise InputError("escape rate needs n >= 1")
     if isinstance(x, ProjPoint):

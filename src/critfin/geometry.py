@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +45,16 @@ from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
-from .algebra import HomogPoly, factor, factor_uncapped, monomials_of_degree, poly_gcd
+from .algebra import (
+    HomogPoly,
+    _clear_denominators,
+    factor,
+    factor_uncapped,
+    monomials_of_degree,
+    poly_gcd,
+    rational_content,
+    to_fraction,
+)
 from .config import Config, resolve
 from .errors import (
     ArityError,
@@ -87,20 +96,10 @@ class ProjPoint:
         vals = [Fraction(c) for c in coords]
         if all(v == 0 for v in vals):
             raise InputError("projective point needs a nonzero coordinate")
-        from math import gcd, lcm
-
-        den = 1
-        for v in vals:
-            den = lcm(den, v.denominator)
-        ints = [int(v * den) for v in vals]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v != 0)
-        if first < 0:
-            ints = [-v for v in ints]
-        return cls(tuple(Fraction(v) for v in ints), exact=True)
+        scale = rational_content(vals)
+        if next(v for v in vals if v != 0) < 0:
+            scale = -scale
+        return cls(tuple(v / scale for v in vals), exact=True)
 
     @classmethod
     def inexact(cls, coords: Sequence) -> "ProjPoint":
@@ -359,6 +358,12 @@ def _coeff_floats(coeffs: list[Fraction]) -> list[complex]:
     return [complex(c / top) for c in coeffs]
 
 
+def _irrational_roots(coeffs: list[Fraction], cfg: Config) -> list[complex]:
+    """Newton-polished roots of an irreducible rational univariate (descending)."""
+    floats = _coeff_floats(coeffs)
+    return [_polish_univariate(floats, complex(r), cfg.newton_max_steps) for r in np.roots(floats)]
+
+
 def _polish_univariate(coeffs: list[complex], root: complex, max_steps: int) -> complex:
     deriv = [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]
     x = root
@@ -395,17 +400,14 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
     # legitimately reach higher degrees and must still split exactly
     out: list[tuple[ProjPoint, int]] = []
     for base, mult in factor_uncapped(p).factors:
-        if base.degree == 1:
-            a = base.terms.get((1, 0), Fraction(0))
-            b = base.terms.get((0, 1), Fraction(0))
-            out.append((ProjPoint.exact_point([-b, a]), mult))
-            continue
-        # irreducible of degree >= 2 over Q: no roots at (1:0) or (0:1)
         coeffs = [base.terms.get((base.degree - j, j), Fraction(0)) for j in range(base.degree + 1)]
-        floats = _coeff_floats(coeffs)
-        for root in np.roots(floats):
-            polished = _polish_univariate(floats, complex(root), cfg.newton_max_steps)
-            out.append((ProjPoint.inexact([polished, 1.0]), mult))
+        if base.degree == 1:
+            a, b = coeffs
+            out.append((ProjPoint.exact_point([-b, a]), mult))
+        else:
+            # irreducible of degree >= 2 over Q: no roots at (1:0) or (0:1)
+            roots = _irrational_roots(coeffs, cfg)
+            out.extend((ProjPoint.inexact([root, 1.0]), mult) for root in roots)
     return out
 
 
@@ -418,11 +420,6 @@ def _to_ring3(p: HomogPoly):
     return _RING3.from_dict(
         {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
     )
-
-
-def _fraction(q) -> Fraction:
-    """A QQ element as a Fraction."""
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def curve_image(f, c: Component, cfg: Config | None = None) -> Component:
@@ -491,11 +488,7 @@ def curve_image(f, c: Component, cfg: Config | None = None) -> Component:
                 "the image is not a single curve"
             )
         vec = null.to_list()[0]
-        terms = {
-            mono: Fraction(int(v.numerator), int(v.denominator))
-            for mono, v in zip(target, vec)
-            if v != 0
-        }
+        terms = {mono: to_fraction(v) for mono, v in zip(target, vec) if v != 0}
         q = HomogPoly(3, terms).normalized()
         # certify: divisibility (structural, but re-checked) + irreducibility
         pullback = _to_ring3(q.compose(forms))
@@ -551,18 +544,14 @@ def _evaluate_terms(terms, powers, acc=None) -> complex:
     return 0j if acc is None else acc
 
 
-def _fiber_poly(p: HomogPoly, z0: Fraction, w0: Fraction) -> list[Fraction]:
-    """Coefficients (descending in t) of p(z0, w0, t), exactly."""
-    deg = p.degree
-    coeffs = [Fraction(0)] * (deg + 1)
-    for (i, j, k), c in p.terms.items():
-        coeffs[deg - k] += c * z0**i * w0**j
-    return coeffs
+def _fiber_coeffs(terms, deg: int, z0, w0) -> list:
+    """Coefficients (descending in t) of a form at (z0, w0, t).
 
-
-def _complex_fiber(terms, deg: int, z0: complex, w0) -> list[complex]:
-    """Coefficients (descending in t) of a form at (z0, w0, t) from its prepared terms."""
-    coeffs = [0j] * (deg + 1)
+    ``terms`` are a form's exact terms (``p.terms.items()``) at rational z0,
+    w0, or its prepared complex terms.  The sums start from the integer 0,
+    which adds exactly as Fraction(0) or 0j would.
+    """
+    coeffs = [0] * (deg + 1)
     for (i, j, k), c in terms:
         coeffs[deg - k] += c * z0**i * w0**j
     return coeffs
@@ -578,11 +567,10 @@ def _common_roots(
     for base, _m in dup_factor_list(dup_gcd(qa, qb, QQ), QQ)[1]:
         if len(base) == 2:
             c1, c0 = base
-            out.append((_fraction(-c0 / c1), True))
+            out.append((to_fraction(-c0 / c1), True))
         else:
-            fl = _coeff_floats([_fraction(v) for v in base])
-            for r in np.roots(fl):
-                out.append((_polish_univariate(fl, complex(r), cfg.newton_max_steps), False))
+            coeffs = [to_fraction(v) for v in base]
+            out.extend((root, False) for root in _irrational_roots(coeffs, cfg))
     return out
 
 
@@ -645,10 +633,10 @@ def _dense_in_t(p: HomogPoly) -> tuple[list, int]:
 
     D is the least common denominator of p's coefficients.
     """
-    den = lcm(*(c.denominator for c in p.terms.values()))
+    den, ints = _clear_denominators(p)
     by_t: dict[int, dict] = {}
-    for (i, j, k), c in p.terms.items():
-        by_t.setdefault(k, {})[(i, j)] = c.numerator * (den // c.denominator)
+    for (i, j, k), c in ints.items():
+        by_t.setdefault(k, {})[(i, j)] = c
     zw = _ZZ_ZW.ring
     top = max(by_t, default=-1)
     return [zw.from_dict(by_t[k]) if k in by_t else zw.zero for k in range(top, -1, -1)], den
@@ -752,25 +740,24 @@ def _split_fibers(
     for direction, mult in directions:
         if direction.exact:
             z0, w0 = direction.coords
-            roots = _common_roots(_fiber_poly(As, z0, w0), _fiber_poly(Bs, z0, w0), cfg)
+            terms, common_roots = (As.terms.items(), Bs.terms.items()), _common_roots
         else:
             z0, w0 = direction.to_complex()
             if system is None:
                 system = _NewtonSystem(As, Bs)
-            pa = _complex_fiber(system.forms[0], As.degree, z0, w0)
-            pb = _complex_fiber(system.forms[1], Bs.degree, z0, w0)
-            roots = _match_numeric_fiber(pa, pb, cfg)
+            terms, common_roots = system.forms, _match_numeric_fiber
+        pa, pb = (_fiber_coeffs(t, p.degree, z0, w0) for t, p in zip(terms, (As, Bs)))
         points: list[ProjPoint] = []
-        for tau, tau_exact in roots:
+        for tau, tau_exact in common_roots(pa, pb, cfg):
             # solutions live in the shifted frame; the original coordinates
-            # are (z' + a t', w' + b t', t')
-            if direction.exact and tau_exact:
+            # are (z' + a t', w' + b t', t'); only an exact direction has
+            # exact roots
+            if tau_exact:
                 points.append(ProjPoint.exact_point([z0 + a * tau, w0 + b * tau, tau]))
                 continue
-            zc, wc = (complex(z0), complex(w0))
             if system is None:
                 system = _NewtonSystem(As, Bs)
-            polished = _newton_system(system, (zc, wc, complex(tau)), cfg)
+            polished = _newton_system(system, (complex(z0), complex(w0), complex(tau)), cfg)
             back = (
                 polished[0] + a * polished[2],
                 polished[1] + b * polished[2],
@@ -963,8 +950,8 @@ def _interp_resultant_t(As: InexactForm, Bs: InexactForm) -> np.ndarray:
     vals = np.array(
         [
             _sylvester_det(
-                _complex_fiber(ta, As.degree, complex(z0), 1.0),
-                _complex_fiber(tb, Bs.degree, complex(z0), 1.0),
+                _fiber_coeffs(ta, As.degree, complex(z0), 1.0),
+                _fiber_coeffs(tb, Bs.degree, complex(z0), 1.0),
             )
             for z0 in samples
         ]

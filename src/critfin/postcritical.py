@@ -197,10 +197,7 @@ def _forward_image(f: Endomorphism, comp: Component, cfg: Config) -> Component:
     if comp.kind == "curve":
         return curve_image(f, comp, cfg)
     image = f(comp.point)
-    if not image.exact:
-        snapped = image.snap_to_rational(cfg)
-        if snapped is not None:
-            image = snapped
+    image = image.snap_to_rational(cfg) or image
     if image.exact and max(abs(c) for c in image.coords) > cfg.max_point_height:
         raise BudgetError(
             f"orbit point coordinates exceeded the height bound "
@@ -303,10 +300,7 @@ def _critical_membership(
 ) -> Membership:
     """Is a component contained in the reference set (componentwise)?"""
     if comp.kind == "curve":
-        for ref in reference.curves():
-            if ref.poly == comp.poly:
-                return Membership.IN
-        return Membership.OUT
+        return Membership.IN if comp in reference.curves() else Membership.OUT
     return contains(reference, comp.point, cfg=cfg)
 
 
@@ -417,7 +411,11 @@ def classify(f: Endomorphism, order: int = 2, cfg: Config | None = None) -> Clas
         lvl1.diagnostics.append("order-2 analysis withheld: order-1 orbit did not close")
         return report
     if f.k == 1:
-        report.levels[2] = _vacuous_level(cfg)
+        report.levels[2] = _empty_level(
+            2,
+            "order-2 layer is vacuous on the line: point components have no "
+            "proper pairwise intersections",
+        )
         return report
     C2 = _pairwise_intersections(C1, lvl1.omega.E, cfg)
     report.levels[2] = _analyze_level(f, 2, C2, C1, cfg)
@@ -427,15 +425,9 @@ def classify(f: Endomorphism, order: int = 2, cfg: Config | None = None) -> Clas
 def _analyze_level(
     f: Endomorphism, order: int, seeds: AlgebraicSet, C1: AlgebraicSet, cfg: Config
 ) -> LevelReport:
-    lvl = LevelReport(order=order, C=seeds)
     if seeds.is_empty:
-        lvl.finite_order = True
-        lvl.verdict = True
-        lvl.omega = OmegaData(
-            E=AlgebraicSet(), l=1, E_prime=AlgebraicSet(), F=AlgebraicSet()
-        )
-        lvl.diagnostics.append(f"order-{order} seed set is empty; verdict is vacuous")
-        return lvl
+        return _empty_level(order, f"order-{order} seed set is empty; verdict is vacuous")
+    lvl = LevelReport(order=order, C=seeds)
     try:
         lvl.graph = build_orbit_graph(f, seeds, cfg, critical_reference=C1)
     except BudgetError as exc:
@@ -469,16 +461,17 @@ def _verdict(graph: OrbitGraph, omega: OmegaData, cfg: Config) -> bool | None:
     return via_cycles
 
 
-def _vacuous_level(cfg: Config) -> LevelReport:
-    lvl = LevelReport(order=2, C=AlgebraicSet())
-    lvl.finite_order = True
-    lvl.verdict = True
-    lvl.omega = OmegaData(E=AlgebraicSet(), l=1, E_prime=AlgebraicSet(), F=AlgebraicSet())
-    lvl.diagnostics.append(
-        "order-2 layer is vacuous on the line: point components have no "
-        "proper pairwise intersections"
+def _empty_level(order: int, diagnostic: str) -> LevelReport:
+    """A closed level with nothing to track, vacuously critically finite."""
+    empty = AlgebraicSet()
+    return LevelReport(
+        order=order,
+        C=empty,
+        omega=OmegaData(E=empty, l=1, E_prime=empty, F=empty),
+        finite_order=True,
+        verdict=True,
+        diagnostics=[diagnostic],
     )
-    return lvl
 
 
 def _pairwise_intersections(C1: AlgebraicSet, E1: AlgebraicSet, cfg: Config) -> AlgebraicSet:

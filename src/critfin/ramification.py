@@ -20,7 +20,6 @@ points, real or complex, go through the floating elimination pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .config import Config, resolve
 from .dynamics import Endomorphism
@@ -149,25 +148,8 @@ def preimage_tree(
     front so the failure arrives before any solving starts.
     """
     cfg = resolve(cfg)
-    if len(q.coords) != f.k + 1:
-        raise InputError(
-            f"root point has {len(q.coords)} coordinates; the map lives on P^{f.k}"
-        )
-    if depth is None:
-        depth = cfg.preimage_depth_default
-    if depth < 1:
-        raise InputError("preimage depth must be at least 1")
-    if depth > cfg.preimage_depth_cap:
-        raise InputError(
-            f"preimage depth {depth} exceeds the cap {cfg.preimage_depth_cap}"
-        )
+    depth = _tree_depth(f, q, depth, cfg)
     per_node = f.degree**f.k
-    total = sum(per_node**j for j in range(1, depth + 1))
-    if total > cfg.budget_point_nodes:
-        raise BudgetError(
-            f"a depth-{depth} preimage tree holds {total} nodes, over the "
-            f"budget of {cfg.budget_point_nodes}"
-        )
     root = PreimageNode(point=q, multiplicity=1, depth=0)
     frontier = [root]
     for level in range(1, depth + 1):
@@ -189,80 +171,68 @@ def preimage_tree(
     return PreimageTree(f=f, root=root, depth=depth)
 
 
+def _tree_depth(f: Endomorphism, q: ProjPoint, depth: int | None, cfg: Config) -> int:
+    """The checked depth of q's preimage tree, before anything is solved.
+
+    Checks the root's shape, the depth range and the cumulative node budget.
+    """
+    if len(q.coords) != f.k + 1:
+        raise InputError(
+            f"root point has {len(q.coords)} coordinates; the map lives on P^{f.k}"
+        )
+    if depth is None:
+        depth = cfg.preimage_depth_default
+    if depth < 1:
+        raise InputError("preimage depth must be at least 1")
+    if depth > cfg.preimage_depth_cap:
+        raise InputError(
+            f"preimage depth {depth} exceeds the cap {cfg.preimage_depth_cap}"
+        )
+    per_node = f.degree**f.k
+    total = sum(per_node**j for j in range(1, depth + 1))
+    if total > cfg.budget_point_nodes:
+        raise BudgetError(
+            f"a depth-{depth} preimage tree holds {total} nodes, over the "
+            f"budget of {cfg.budget_point_nodes}"
+        )
+    return depth
+
+
 def _fiber(
-    f: Endomorphism, parent: ProjPoint, cfg: Config
-) -> list[tuple[ProjPoint, int]]:
-    """All preimages of one point with multiplicities summing to deg^k."""
-    solve = _fiber_exact if parent.exact else _fiber_inexact
-    return _gate_fiber(f, parent, solve(f, parent, cfg), cfg)
-
-
-def _fiber_exact(
     f: Endomorphism, y: ProjPoint, cfg: Config
 ) -> list[tuple[ProjPoint, int]]:
-    if f.k == 1:
-        y0, y1 = (Fraction(c) for c in y.coords)
-        form = f.forms[0] * y1 - f.forms[1] * y0
-        return binary_roots(form, cfg)
-    # eliminate against the largest coordinate: the two minors
-    # y_p * f_i - y_i * f_p vanish together exactly on the fiber
+    """All preimages of one point with multiplicities summing to deg^k.
+
+    The minors y_p * f_o - y_o * f_p, for the largest coordinate p and each
+    other o, vanish together exactly on the fiber.  An exact parent gives
+    exact minors, whose rational solutions come back exact; a floating parent
+    gives floating minors.  Every child must map onto its parent: exactly
+    when both are exact, within the residual tolerance otherwise.
+    """
     mags = [abs(c) for c in y.coords]
-    pivot = mags.index(max(mags))
-    o1, o2 = (i for i in range(3) if i != pivot)
-    yp = Fraction(y.coords[pivot])
-    A = f.forms[o1] * yp - f.forms[pivot] * Fraction(y.coords[o1])
-    B = f.forms[o2] * yp - f.forms[pivot] * Fraction(y.coords[o2])
-    return solve_form_pair(A, B, cfg)
-
-
-def _fiber_inexact(
-    f: Endomorphism, y: ProjPoint, cfg: Config
-) -> list[tuple[ProjPoint, int]]:
-    coords = y.to_complex()
-    if f.k == 1:
+    p = mags.index(max(mags))
+    others = [o for o in range(f.k + 1) if o != p]
+    yp = y.coords[p]
+    if y.exact:
+        minors = [f.forms[o] * yp - f.forms[p] * y.coords[o] for o in others]
+        fiber = binary_roots(*minors, cfg) if f.k == 1 else solve_form_pair(*minors, cfg)
+    elif f.k == 1:
+        (o,) = others
         d = f.degree
         coeffs = [
-            complex(f.forms[0].terms.get((d - j, j), 0)) * coords[1]
-            - complex(f.forms[1].terms.get((d - j, j), 0)) * coords[0]
+            complex(f.forms[o].terms.get((d - j, j), 0)) * yp
+            - complex(f.forms[p].terms.get((d - j, j), 0)) * y.coords[o]
             for j in range(d + 1)
         ]
-        return binary_roots_inexact(coeffs, cfg)
-    mags = [abs(c) for c in coords]
-    pivot = mags.index(max(mags))
-    o1, o2 = (i for i in range(3) if i != pivot)
-    A = InexactForm.combination(coords[pivot], f.forms[o1], -coords[o1], f.forms[pivot])
-    B = InexactForm.combination(coords[pivot], f.forms[o2], -coords[o2], f.forms[pivot])
-    return solve_form_pair_inexact(A, B, cfg)
-
-
-def _gate_fiber(
-    f: Endomorphism,
-    parent: ProjPoint,
-    pairs: list[tuple[ProjPoint, int]],
-    cfg: Config,
-) -> list[tuple[ProjPoint, int]]:
-    """Verify f(child) = parent for every solution, snapping where exactness
-    can be restored (floating children of a rational parent that verify
-    exactly under the map)."""
-    out: list[tuple[ProjPoint, int]] = []
-    for x, mult in pairs:
-        if x.exact:
-            # minor solutions of a morphism are genuine fiber points
-            assert parent.exact and f(x) == parent
-            out.append((x, mult))
-            continue
-        if parent.exact:
-            snapped = x.snap_to_rational(cfg)
-            if snapped is not None and f(snapped) == parent:
-                out.append((snapped, mult))
-                continue
-        residual = f(x).chordal(parent)
-        if residual > cfg.residual_tol:
-            raise SolverError(
-                f"fiber point {x} misses its parent {parent} by {residual:.2e}"
-            )
-        out.append((x, mult))
-    return out
+        fiber = binary_roots_inexact(coeffs, cfg)
+    else:
+        A, B = (InexactForm.combination(yp, f.forms[o], -y.coords[o], f.forms[p]) for o in others)
+        fiber = solve_form_pair_inexact(A, B, cfg)
+    for x, _mult in fiber:
+        image = f(x)
+        if not image.is_close(y, cfg.residual_tol):
+            raise SolverError(f"fiber point {x} misses its parent {y} by {image.chordal(y):.2e}")
+    return fiber
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +282,7 @@ class RamificationCertificate:
     order: int
     bound: int
     stratum_bounds: dict[int, int]
-    verdict: str
+    verdict: str = "all-within-bound"
     paths: list[PathRecord] = field(default_factory=list)
     violations: list[PathRecord] = field(default_factory=list)
     max_passages: int | None = None
@@ -381,28 +351,10 @@ def check_bounded_ramification(
         order = 2 if order2_points is not None else 1
     bounds = dict(stratum_bounds) if stratum_bounds else {}
     cert = RamificationCertificate(
-        root=tree.root.point,
-        depth=tree.depth,
-        order=order,
-        bound=bound,
-        stratum_bounds=bounds,
-        verdict="all-within-bound",
+        root=tree.root.point, depth=tree.depth, order=order, bound=bound, stratum_bounds=bounds
     )
-    if excluded is not None and not excluded.is_empty:
-        membership = contains(excluded, tree.root.point, cfg=cfg)
-        if membership is Membership.IN:
-            cert.verdict = "not-applicable"
-            cert.diagnostics.append(
-                "root lies in the excluded locus; the passage bound does not apply"
-            )
-            return cert
-        if membership is Membership.UNDECIDED:
-            cert.verdict = "undecided"
-            cert.diagnostics.append(
-                "root membership in the excluded locus is ambiguous at the "
-                "working tolerance"
-            )
-            return cert
+    if _root_excluded(cert, excluded, cfg):
+        return cert
     for path in tree.paths():
         record = _audit_path(tree.f, path, C1, order2_points, cert, cfg)
         cert.paths.append(record)
@@ -432,6 +384,27 @@ def check_bounded_ramification(
     elif not decided:
         cert.verdict = "undecided"
     return cert
+
+
+def _root_excluded(
+    cert: RamificationCertificate, excluded: AlgebraicSet | None, cfg: Config
+) -> bool:
+    """Settle the certificate when its root is in, or ambiguous for, ``excluded``."""
+    if excluded is None or excluded.is_empty:
+        return False
+    membership = contains(excluded, cert.root, cfg=cfg)
+    if membership is Membership.IN:
+        cert.verdict = "not-applicable"
+        cert.diagnostics.append(
+            "root lies in the excluded locus; the passage bound does not apply"
+        )
+    elif membership is Membership.UNDECIDED:
+        cert.verdict = "undecided"
+        cert.diagnostics.append(
+            "root membership in the excluded locus is ambiguous at the "
+            "working tolerance"
+        )
+    return membership is not Membership.OUT
 
 
 def _audit_path(
@@ -510,9 +483,12 @@ def certify_ramification(
 ) -> RamificationCertificate:
     """End-to-end bounded-ramification certificate for one root point.
 
-    Classifies the map (or reuses a supplied report), derives the passage
-    bound and the exclusion locus at the deepest cleanly certified order,
-    materializes the preimage tree, and audits every backward orbit.
+    Classifies the map (or reuses a supplied report) and derives the passage
+    bound and the exclusion locus at the deepest cleanly certified order.
+    The root is tested against that locus before any fiber is solved: a
+    root inside it is not-applicable (undecided in the ambiguity band) with
+    no paths.  Otherwise the preimage tree is materialized and every
+    backward orbit audited.
 
     The exclusion locus depends on the order in play.  Below top order the
     bound needs the root off the whole stabilized postcritical set; at top
@@ -570,17 +546,21 @@ def certify_ramification(
             "exclusion locus and bound"
         )
     bound = ramification_bound(report, order_used)
-    tree = preimage_tree(f, q, depth, cfg)
-    cert = check_bounded_ramification(
-        tree,
-        lvl1.C,
-        bound,
-        stratum_bounds=bounds,
-        order2_points=order2_points,
-        excluded=excluded,
-        order=order_used,
-        cfg=cfg,
+    depth = _tree_depth(f, q, depth, cfg)
+    cert = RamificationCertificate(
+        root=q, depth=depth, order=order_used, bound=bound, stratum_bounds=bounds
     )
+    if not _root_excluded(cert, excluded, cfg):
+        # the root is off the locus: audit without testing it again
+        cert = check_bounded_ramification(
+            preimage_tree(f, q, depth, cfg),
+            lvl1.C,
+            bound,
+            stratum_bounds=bounds,
+            order2_points=order2_points,
+            order=order_used,
+            cfg=cfg,
+        )
     cert.diagnostics.extend(notes)
     if (
         order_used == 2

@@ -224,6 +224,14 @@ def test_mutating_any_knob_changes_the_echo():
         assert mutated["config"][field.name] != base["config"][field.name]
 
 
+def test_default_config_is_frozen():
+    # every cfg=None call shares DEFAULT, so no caller may change it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DEFAULT.residual_tol = 1e-3
+    assert DEFAULT.with_overrides(residual_tol=1e-3).residual_tol == 1e-3
+    assert DEFAULT.residual_tol == 1e-10
+
+
 def _tiny_classification(f):
     from critfin.postcritical import classify
 
@@ -296,6 +304,26 @@ def test_certify_root_on_postcritical_line_is_not_applicable():
     assert json.loads(out)["verdict"] == "not-applicable"
 
 
+@pytest.mark.parametrize(
+    "fixture, point, depth",
+    [("power", "0,1,2", "3"), ("g3", "1,0,1", "2"), ("g4", "0,1,1", "2")],
+)
+def test_certify_excluded_root_is_not_applicable_without_solving(fixture, point, depth):
+    # these roots lie on critical cycle curves, where fibers are multiple and
+    # need not separate; membership is decided before any fiber is solved
+    code, out = run(["certify-ramification", fixture, "--point", point, "--depth", depth])
+    assert code == cli.EXIT_OK
+    cert = json.loads(out)
+    assert cert["verdict"] == "not-applicable"
+    assert cert["paths"] == []
+
+
+@pytest.mark.parametrize("fixture, point", [("power", "0,1,2"), ("g3", "1,0,1"), ("g4", "0,1,1")])
+def test_certify_excluded_root_still_checks_the_depth_cap(fixture, point):
+    code, _ = run(["certify-ramification", fixture, "--point", point, "--depth", "5"])
+    assert code == cli.EXIT_INPUT
+
+
 def test_certify_accepts_rational_coordinates():
     code, out = run(["certify-ramification", "power", "--point", "1/2,1/3,1", "--depth", "1"])
     assert code == cli.EXIT_OK
@@ -327,6 +355,10 @@ ELIMINATION_DIGESTS = {
     "analyze f": "84baee3f1b9273769d74f1776bfc4a582ddec959fb83b9ee1f9799898bc51606",
     "analyze power": "d52da19a86fd3ce0f080d7f280a4f9686fb8af4db3e4951d633f9fb23e33249e",
     "certify f 2,3,5 3": "17898588c6040884ed9e23ebc2c2f94a01c6e47ca4c8ef076be067542cfe9489",
+    "analyze lattes4": "b6ba80127e728d4694c54ba9b53381c27fea6ccdce2209128571c176ca193693",
+    "certify lattes4 1,3 4": "9cc1ddfb26ebaedfd13ba050b519972904a6a9892830ef97814d77f82133d11e",
+    "certify g3 1,2,3 2": "6a57ee684c872793645a9035f25a83680dc29fea70b719afdc68b2b9e6d2964f",
+    "certify f 0,1,1 2": "89a352a09ac804a096ca0313ca5f9d49f2b93bf90d614876bb53be874762969a",
 }
 
 
@@ -344,6 +376,34 @@ def test_certify_floating_fibers_match_recorded_digest():
     assert code == cli.EXIT_OK
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == ELIMINATION_DIGESTS["certify f 2,3,5 3"]
+
+
+def test_analyze_p1_report_bytes_match_recorded_digest(tmp_path):
+    # P^1 floating roots: lattes4's periodic points
+    report = tmp_path / "report.json"
+    code, _ = run(["analyze", "lattes4", "--report", str(report)])
+    assert code == cli.EXIT_OK
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == ELIMINATION_DIGESTS["analyze lattes4"]
+
+
+@pytest.mark.parametrize(
+    "fixture, point, depth",
+    [
+        # P^1 floating roots and floating fibres
+        ("lattes4", "1,3", "4"),
+        # degree-3 plane fibres over floating parents
+        ("g3", "1,2,3", "2"),
+        # a root over f's critical set whose tree is solved
+        ("f", "0,1,1", "2"),
+    ],
+)
+def test_certify_output_matches_recorded_digest(fixture, point, depth):
+    argv = ["certify-ramification", fixture, "--point", point, "--depth", depth]
+    code, out = run(argv)
+    assert code == cli.EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ELIMINATION_DIGESTS[f"certify {fixture} {point} {depth}"]
 
 
 # ---------------------------------------------------------------------------

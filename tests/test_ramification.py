@@ -179,6 +179,21 @@ def test_complex_root_fiber():
         assert f(n.point).chordal(root) < 1e-10
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="double precision scatters the 4-fold fiber point [0 : 1 : -+i] by "
+    "about eps^(1/4) ~ 1e-4, past the 1e-5 cluster gate of binary_roots_inexact",
+)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_g4_floating_fiber_keeps_its_four_fold_point(sign):
+    # over [1 : +-i : +-i] the fiber is 12 simple points plus [0 : 1 : -+i]
+    # of multiplicity 4
+    tree = preimage_tree(g_map(4), ProjPoint.inexact([1, sign * 1j, sign * 1j]), depth=1)
+    children = tree.root.children
+    assert len(children) == 13
+    assert sorted(c.multiplicity for c in children) == [1] * 12 + [4]
+
+
 def test_tree_determinism():
     f = f_map()
     first = preimage_tree(f, pt(2, 3, 5), depth=2)

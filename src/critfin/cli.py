@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -193,6 +194,15 @@ def _tri(verdict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_output(path: Path) -> None:
+    """Refuse an output path before any work: it must not be a directory, and
+    its parent must be a writable directory."""
+    if path.is_dir():
+        raise UnwritableOutputError(f"{path} is a directory")
+    if not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+        raise UnwritableOutputError(f"{path.parent} is not a writable directory")
+
+
 def _config_from(args) -> Config:
     cfg = resolve(None)
     budget = getattr(args, "budget", None)
@@ -216,6 +226,8 @@ def cmd_analyze(args) -> int:
     f, doc = load_map(args.map)
     cfg = _config_from(args)
     order = args.order if args.order is not None else min(f.k, 2)
+    if args.report:
+        _check_output(Path(args.report))
     classification = classify(f, order=order, cfg=cfg)
     periodic = find_periodic(f, 2, cfg)
 
@@ -290,11 +302,14 @@ def cmd_render(args) -> int:
     spec = _parse_slice(args.slice, f.k, width, height)
     if args.iter is not None and args.iter < 1:
         raise InputError("--iter must be at least 1")
+    out = Path(args.out)
+    sidecar = _sidecar_path(out)
+    for path in (out, sidecar):
+        _check_output(path)
     targets = build_targets(f, cfg=cfg)
     image = render_slice(f, spec, targets, max_iter=args.iter, cfg=cfg)
-    out = Path(args.out)
     write_ppm(image, out)
-    write_legend(image, _sidecar_path(out))
+    write_legend(image, sidecar)
     for label in sorted(image.legend):
         name = image.legend[label]
         print(f"{image.summary[name]:.6f}  {name}")

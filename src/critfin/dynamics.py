@@ -359,7 +359,8 @@ def _solve_degenerate_pair(
             candidates.extend(pt for pt, _m2 in solve_form_pair(base, third, cfg))
         qa, ra = sp.div(to_sympy(A), to_sympy(g))
         qb, rb = sp.div(to_sympy(B), to_sympy(g))
-        assert ra.is_zero and rb.is_zero
+        if not (ra.is_zero and rb.is_zero):
+            raise SolverError("the minors' common factor does not divide them exactly")
         A = from_sympy(qa, A.num_vars)
         B = from_sympy(qb, B.num_vars)
     if A.degree and B.degree:

@@ -827,7 +827,8 @@ def curve_intersect(
     # final residual gate (exact points are exact zeros by construction)
     for pt, _m in points:
         if pt.exact:
-            assert a.poly.evaluate(pt.coords) == 0 and b.poly.evaluate(pt.coords) == 0
+            if a.poly.evaluate(pt.coords) != 0 or b.poly.evaluate(pt.coords) != 0:
+                raise SolverError(f"exact intersection point {pt} is not a common zero")
         else:
             ra = curve_residual(a.poly, pt)
             rb = curve_residual(b.poly, pt)

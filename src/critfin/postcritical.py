@@ -266,7 +266,8 @@ def omega_limit(graph: OrbitGraph, cfg: Config | None = None) -> OmegaData:
     E_indices = current
     # structural identity of functional graphs: the stabilized image set is
     # exactly the union of cycles (every cycle is hit by the orbit of D)
-    assert E_indices == {i for cycle in graph.cycles() for i in cycle}
+    if E_indices != {i for cycle in graph.cycles() for i in cycle}:
+        raise SolverError("the stabilized image set is not the union of the graph's cycles")
     diagnostics: list[str] = []
     F_indices: set[int] = set()
     for cycle in graph.cycles():

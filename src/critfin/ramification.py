@@ -166,7 +166,12 @@ def preimage_tree(
                 child = PreimageNode(child_point, mult, level)
                 parent.children.append(child)
                 next_frontier.append(child)
-            assert sum(c.multiplicity for c in parent.children) == per_node
+            total = sum(c.multiplicity for c in parent.children)
+            if total != per_node:
+                raise SolverError(
+                    f"the fiber over {parent.point} (depth {level}) has multiplicity"
+                    f" {total}, not {per_node}"
+                )
         frontier = next_frontier
     return PreimageTree(f=f, root=root, depth=depth)
 

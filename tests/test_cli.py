@@ -533,6 +533,28 @@ def test_unwritable_output_exits_5(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "quadratic", "--out", "{tmp}/missing/x.ppm"],
+        ["render", "quadratic", "--out", "{tmp}"],
+        ["render", "quadratic", "--out", "{tmp}/taken.ppm"],  # the sidecar is a directory
+        ["analyze", "quadratic", "--report", "{tmp}/missing/r.json"],
+        ["analyze", "quadratic", "--report", "{tmp}"],
+    ],
+)
+def test_unwritable_outputs_fail_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    def solved(*args, **kwargs):
+        raise AssertionError("solved before checking the outputs")
+
+    for name in ("build_targets", "classify", "find_periodic"):
+        monkeypatch.setattr(cli, name, solved)
+    (tmp_path / "taken.json").mkdir()
+    code = cli.main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == cli.EXIT_OUTPUT
+    assert "cannot write output" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------

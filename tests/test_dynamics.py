@@ -23,7 +23,13 @@ from critfin.dynamics import (
     find_periodic,
     iterate,
 )
-from critfin.errors import ArityError, BudgetError, InputError, NotAMorphismError
+from critfin.errors import (
+    ArityError,
+    BudgetError,
+    InputError,
+    NotAMorphismError,
+    SolverError,
+)
 from critfin.geometry import ProjPoint
 
 P3 = lambda s: poly_parse(s, 3)
@@ -422,3 +428,16 @@ def test_random_morphisms_satisfy_degree_laws():
         assert det.degree == 3 * (f.degree - 1)
         p = pt(rng.randint(1, 5), rng.randint(-5, 5), rng.randint(1, 5))
         assert iterate(f, 2)(p) == f(f(p))
+
+
+def test_degenerate_pair_refuses_a_common_factor_that_does_not_divide(monkeypatch):
+    import critfin.dynamics as dynamics
+
+    real_gcd = dynamics.poly_gcd
+    claimed = [P3("z")]  # a common factor that divides neither minor
+    monkeypatch.setattr(
+        dynamics, "poly_gcd", lambda a, b: claimed.pop() if claimed else real_gcd(a, b)
+    )
+    A, B, third = P3("w^2 - t^2"), P3("w*t"), P3("z - w - t")
+    with pytest.raises(SolverError, match="does not divide"):
+        dynamics._solve_degenerate_pair(A, B, third, Config())

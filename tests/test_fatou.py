@@ -808,3 +808,98 @@ def test_render_memory_is_per_tile(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 12e6, f"render peaked at {peak / 1e6:.1f} MB"
+
+
+def _pool_batches(monkeypatch):
+    """Record the pieces each pool map runs: (lo, hi) or (lo, hi, swap_end)."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    batches = []
+    pool_map = ProcessPoolExecutor.map
+
+    def recorded(self, fn, pieces, **kwargs):
+        batches.append(list(pieces))
+        return pool_map(self, fn, batches[-1], **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", recorded)
+    return batches
+
+
+def _serial_and_split(monkeypatch, f, coords, targets, max_iter, cfg):
+    """The kernel arrays on 1 and on 2 CPUs, which must agree bit for bit,
+    and the pieces the 2-CPU run mapped over its pool."""
+    import multiprocessing
+
+    batches = _pool_batches(monkeypatch)
+    arrays = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(fatou, "_cpus", lambda: cpus)
+        arrays[cpus] = fatou._orbit_kernel(f, coords, targets, max_iter, cfg)
+    for a, b in zip(arrays[1], arrays[2]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert multiprocessing.active_children() == []
+    return arrays[1], batches
+
+
+@pytest.mark.parametrize(
+    "name, res, max_iter, rerun",
+    [
+        ("lattes", 128, 200, False),  # a full tile that never retires
+        ("f", 128, None, True),  # a full tile whose halves first retire at different steps
+        ("f", 100, None, False),  # a ragged tile: its parts never swap
+    ],
+)
+def test_a_lone_tile_split_across_cpus_gives_the_serial_arrays(
+    monkeypatch, name, res, max_iter, rerun
+):
+    f = {"f": f_map, "lattes": lattes_map}[name]()
+    cfg = resolve(None)
+    max_iter = max_iter or cfg.max_orbit_iters
+    coords = SliceSpec.default(f.k, width=res, height=res).grid()
+    arrays, batches = _serial_and_split(monkeypatch, f, coords, targets_for(name), max_iter, cfg)
+    n = res * res
+    halves = [(0, n // 2), (n // 2, n)]
+    swap_end = math.inf if n == fatou._ELIDE else 0
+    assert batches[0] == [(lo, hi, swap_end) for lo, hi in halves]
+    if rerun:
+        (again,) = batches[1:]
+        assert again and all(piece[:2] in halves and piece[2] < max_iter for piece in again)
+    else:
+        assert len(batches) == 1
+    if name == "lattes":
+        cycle_idx, _, _, overflow, _, _ = arrays
+        assert (cycle_idx < 0).all() and not overflow.any()
+
+
+def test_a_part_that_retired_late_is_run_again(monkeypatch):
+    # f's products are exact whichever order they take, so f cannot tell
+    # whether a part swapped too long; lattes's chaotic orbits can.  A loose
+    # tolerance around one repelling fixed point off the real axis makes the
+    # halves of an off-center tile first retire at steps 2 and later.
+    T = targets_for("lattes")
+    fixed = ProjPoint.inexact([0.568864 + 0.351578j, 1])
+    (i,) = [i for i, cycle in enumerate(T.cycles) if cycle[0].is_close(fixed, 1e-5)]
+    one = TargetSet(cycles=T.cycles[i : i + 1], classifications=T.classifications[i : i + 1])
+    cfg = resolve(None).with_overrides(convergence_tol=0.01, convergence_window=2)
+    coords = SliceSpec.default(1, width=128, height=128, center=(0.3, 0.2)).grid()
+    arrays, batches = _serial_and_split(monkeypatch, lattes_map(), coords, one, 100, cfg)
+    assert batches == [[(0, 8192, math.inf), (8192, 16384, math.inf)], [(8192, 16384, 2)]]
+    assert np.count_nonzero(arrays[0] >= 0) > 0
+
+
+def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):
+    import multiprocessing
+
+    T = targets_for("f")
+    i = cycle_index(T, pt(0, 0, 1))
+    twice = TargetSet(
+        cycles=T.cycles + [T.cycles[i]],
+        classifications=T.classifications + [T.classifications[i]],
+        components=T.components,
+    )
+    batches = _pool_batches(monkeypatch)
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    with pytest.raises(InputError, match=f"cycles {i} and {len(T.cycles)}"):
+        render_slice(f_map(), SliceSpec.default(2, width=128, height=128), twice, max_iter=20)
+    assert [len(pieces) for pieces in batches] == [2]
+    assert multiprocessing.active_children() == []

@@ -18,7 +18,7 @@ from critfin.algebra import (
     to_sympy,
 )
 from critfin.config import Config
-from critfin.errors import BudgetError, InputError
+from critfin.errors import BudgetError, InputError, SolverError
 from critfin.geometry import (
     AlgebraicSet,
     Component,
@@ -412,6 +412,17 @@ def test_intersect_coordinate_lines():
         Component.curve(poly_parse("z", 3)), Component.curve(poly_parse("w", 3))
     )
     assert [(str(pt), m) for pt, m in pts] == [("[0 : 0 : 1]", 1)]
+
+
+def test_intersect_refuses_an_exact_point_off_the_curves(monkeypatch):
+    import critfin.geometry as geometry
+
+    off = ProjPoint.exact_point([1, 1, 1])
+    monkeypatch.setattr(geometry, "solve_form_pair", lambda a, b, cfg: [(off, 1)])
+    with pytest.raises(SolverError, match="not a common zero"):
+        curve_intersect(
+            Component.curve(poly_parse("z", 3)), Component.curve(poly_parse("w", 3))
+        )
 
 
 def test_intersect_rejects_equal_or_overlapping_curves():

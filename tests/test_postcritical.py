@@ -7,7 +7,7 @@ import pytest
 from critfin.algebra import poly_parse
 from critfin.config import Config
 from critfin.dynamics import critical_set, endo_new
-from critfin.errors import BudgetError, InputError
+from critfin.errors import BudgetError, InputError, SolverError
 from critfin.geometry import AlgebraicSet, Component, ProjPoint
 from critfin.postcritical import (
     OrbitGraph,
@@ -332,3 +332,13 @@ def test_report_serializes_to_json():
     assert data["levels"]["2"]["l"] == 1
     assert data["stabilization_sum"] == 2
     assert {c["poly"] for c in data["levels"]["1"]["E"]} == {"z", "w", "t", "z^2 - w*t"}
+
+
+def test_omega_limit_checks_the_cycle_identity(monkeypatch):
+    f = f_map()
+    g = build_orbit_graph(f, critical_set(f))
+    cycles = g.cycles()
+    assert cycles
+    monkeypatch.setattr(g, "cycles", lambda: cycles[1:])  # one cycle lost
+    with pytest.raises(SolverError, match="union of the graph's cycles"):
+        omega_limit(g)

@@ -1,14 +1,18 @@
 """Preimage trees and the bounded-ramification certificate."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from critfin.algebra import poly_parse
 from critfin.config import Config
 from critfin.dynamics import endo_new
-from critfin.errors import BudgetError, InputError
+from critfin.errors import BudgetError, InputError, SolverError
 from critfin.geometry import AlgebraicSet, Component, ProjPoint
 from critfin.postcritical import classify
 from critfin.ramification import (
@@ -371,3 +375,30 @@ def test_certificate_serializes_to_json():
     assert data["stratum_bounds"] == {"1": 1, "2": 1}
     assert len(data["paths"]) == 16
     assert data["root"] == {"coords": ["2", "3", "5"], "exact": True}
+
+
+def test_preimage_tree_checks_each_fiber_sums_to_the_degree(monkeypatch):
+    import critfin.ramification as ramification
+
+    real = ramification._fiber
+    monkeypatch.setattr(ramification, "_fiber", lambda f, q, cfg: real(f, q, cfg)[1:])
+    with pytest.raises(SolverError, match="multiplicity 3, not 4"):
+        preimage_tree(f_map(), pt(2, 3, 5), depth=1)
+
+
+def test_fiber_check_survives_optimized_python():
+    import critfin
+
+    # ``python -O`` strips assert statements; the check must still exit 4
+    script = (
+        "import sys\n"
+        "import critfin.cli as cli, critfin.ramification as r\n"
+        "r._fiber = lambda f, q, cfg: []\n"
+        "sys.exit(cli.main(['certify-ramification', 'f', '--point', '2,3,5', '--depth', '1']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(critfin.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 4, done.stderr
+    assert "solver shortfall: the fiber over [2 : 3 : 5]" in done.stderr

@@ -3,7 +3,28 @@
 The package decides critical finiteness of orders 1 and 2, certifies
 superattracting periodic points, checks backward-orbit ramification against
 the stabilization-index bound, and renders empirical basin pictures.
+
+Importing critfin freezes every object alive at that moment (``gc.freeze``).
+The sympy and numpy module heap, about a hundred thousand objects, then sits
+in the collector's permanent generation: no full collection during a solve
+scans it again, and interpreter shutdown does not collect it, which was most
+of the time a one-shot CLI call spent exiting.  The collector is off while
+the submodules import and is then left as the host had it.  A long-running
+host that wants those objects collectable again can call ``gc.unfreeze()``.
 """
+
+import gc
+
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    # load every submodule here; the imports below only bind names
+    from . import algebra, config, dynamics, errors, fatou, geometry, postcritical, ramification
+finally:
+    gc.freeze()
+    if _gc_was_enabled:
+        gc.enable()
+    del _gc_was_enabled
 
 from .algebra import (
     Factorization,

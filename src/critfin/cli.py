@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -262,8 +263,12 @@ def cmd_certify_ramification(args) -> int:
     cfg = _config_from(args)
     q = _parse_point(args.point, f.k)
     cert = certify_ramification(f, q, depth=args.depth, cfg=cfg)
-    json.dump(cert.as_dict(), sys.stdout, indent=2, sort_keys=True)
-    print()
+    # each write is a syscall on an unbuffered stdout, and joining the whole
+    # text holds every small chunk at once: write a thousand chunks at a time
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(cert.as_dict())
+    while batch := "".join(itertools.islice(chunks, 1024)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -360,8 +360,10 @@ def check_bounded_ramification(
     )
     if _root_excluded(cert, excluded, cfg):
         return cert
+    # a node at level i lies on deg^(k*(depth-i)) paths: test it only once
+    memberships: dict[int, tuple[Membership, Membership | None]] = {}
     for path in tree.paths():
-        record = _audit_path(tree.f, path, C1, order2_points, cert, cfg)
+        record = _audit_path(tree.f, path, C1, order2_points, memberships, cert, cfg)
         cert.paths.append(record)
         if record.undecided:
             continue
@@ -417,13 +419,19 @@ def _audit_path(
     path: list[PreimageNode],
     C1: AlgebraicSet,
     order2_points: AlgebraicSet | None,
+    memberships: dict[int, tuple[Membership, Membership | None]],
     cert: RamificationCertificate,
     cfg: Config,
 ) -> PathRecord:
     passages: list[PassageRecord] = []
     undecided = False
     for node in path[1:]:
-        m1 = contains(C1, node.point, cfg=cfg)
+        if id(node) not in memberships:
+            m1, m2 = contains(C1, node.point, cfg=cfg), None
+            if m1 is Membership.IN and order2_points is not None and not order2_points.is_empty:
+                m2 = contains(order2_points, node.point, cfg=cfg)
+            memberships[id(node)] = m1, m2
+        m1, m2 = memberships[id(node)]
         if m1 is Membership.UNDECIDED:
             undecided = True
             cert.diagnostics.append(
@@ -434,8 +442,7 @@ def _audit_path(
         if m1 is Membership.OUT:
             continue
         stratum = 1
-        if order2_points is not None and not order2_points.is_empty:
-            m2 = contains(order2_points, node.point, cfg=cfg)
+        if m2 is not None:
             if m2 is Membership.UNDECIDED:
                 undecided = True
                 cert.diagnostics.append(

@@ -406,6 +406,14 @@ def test_certify_output_matches_recorded_digest(fixture, point, depth):
     assert digest == ELIMINATION_DIGESTS[f"certify {fixture} {point} {depth}"]
 
 
+def test_certify_in_its_own_process_writes_the_recorded_bytes(run_cli_process):
+    # the import freezes the heap; a real exit must still flush all of stdout
+    done = run_cli_process(["certify-ramification", "f", "--point", "2,3,5", "--depth", "3"])
+    assert done.returncode == cli.EXIT_OK, done.stderr.decode()
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    assert digest == ELIMINATION_DIGESTS["certify f 2,3,5 3"]
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------

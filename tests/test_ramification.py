@@ -1,11 +1,7 @@
 """Preimage trees and the bounded-ramification certificate."""
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -386,19 +382,31 @@ def test_preimage_tree_checks_each_fiber_sums_to_the_degree(monkeypatch):
         preimage_tree(f_map(), pt(2, 3, 5), depth=1)
 
 
-def test_fiber_check_survives_optimized_python():
-    import critfin
-
+def test_fiber_check_survives_optimized_python(run_cli_process):
     # ``python -O`` strips assert statements; the check must still exit 4
-    script = (
-        "import sys\n"
-        "import critfin.cli as cli, critfin.ramification as r\n"
-        "r._fiber = lambda f, q, cfg: []\n"
-        "sys.exit(cli.main(['certify-ramification', 'f', '--point', '2,3,5', '--depth', '1']))\n"
+    done = run_cli_process(
+        ["certify-ramification", "f", "--point", "2,3,5", "--depth", "1"],
+        setup="import critfin.ramification as r\nr._fiber = lambda f, q, cfg: []",
+        flags=("-O",),
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(critfin.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 4, done.stderr
-    assert "solver shortfall: the fiber over [2 : 3 : 5]" in done.stderr
+    stderr = done.stderr.decode()
+    assert done.returncode == 4, stderr
+    assert "solver shortfall: the fiber over [2 : 3 : 5]" in stderr
+
+
+def test_audit_tests_each_tree_node_once(monkeypatch):
+    import critfin.ramification as ramification
+
+    calls = []
+    real = ramification.contains
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ramification, "contains", counting)
+    cert = certify_ramification(f_map(), pt(2, 3, 5), depth=3)
+    # 64 paths share 84 non-root nodes (4 + 16 + 64); the root is tested
+    # twice, against the excluded locus and the stabilized order-2 locus
+    assert len(cert.paths) == 64
+    assert len(calls) == 84 + 2

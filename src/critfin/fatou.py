@@ -15,19 +15,17 @@ The orbit kernel runs the columns in fixed-size tiles on every usable CPU,
 cutting a tile into parts when there are fewer tiles than CPUs, so its
 working memory is O(tile) per process whatever the number of start points; a
 render builds each tile's start points from the slice and keeps only a label
-and an iteration count per pixel.  The order of every product is explicit
-(see ``_eval_terms``), so the results are the same bits whatever the number
-of CPUs and however a tile is cut into parts.  The kernel keeps one streak
-counter per orbit, which assumes the target cycles are disjoint: an orbit
-within the convergence tolerance of two cycles at once is refused with
-``InputError``.
+and an iteration count per pixel.  Every product has one fixed order (see
+``_eval_terms``), so a column's bits depend neither on the tile size nor on
+the number of CPUs.  The kernel keeps one streak counter per orbit, which
+assumes the target cycles are disjoint: an orbit within the convergence
+tolerance of two cycles at once is refused with ``InputError``.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -157,14 +155,14 @@ def _form_terms(forms: Sequence[HomogPoly]) -> list[list[tuple[tuple[int, ...], 
     return [[(e, complex(c)) for e, c in sorted(f.terms.items())] for f in forms]
 
 
-def _eval_terms(
-    terms: list[tuple[tuple[int, ...], complex]], coords: np.ndarray, swap: bool
-) -> np.ndarray:
+def _eval_terms(terms: list[tuple[tuple[int, ...], complex]], coords: np.ndarray) -> np.ndarray:
     # The rendered bytes depend on the order of each product: this numpy's
     # complex multiply is not bitwise commutative.  A term multiplies its
-    # coefficient by each coordinate and by each power as ``t * power``, or
-    # as ``power * t`` when ``swap`` holds, which is what numpy computed for
-    # ``t * coords[var] ** e`` while the tile was full (see _ELIDE).
+    # coefficient by each coordinate as ``t * coord`` and by each power as
+    # ``p * t``.  The power is named: numpy computes ``t * coords[var] ** e``
+    # in the unnamed power's buffer, as ``power * t``, only once that buffer
+    # holds 256 KiB, so the order would follow the number of live columns.
+    # ``p * t`` is the order a full tile took that way.
     acc = np.zeros(coords.shape[1], dtype=complex)
     for exps, c in terms:
         t = c
@@ -173,15 +171,15 @@ def _eval_terms(
                 t = t * coords[var]
             elif e:
                 p = coords[var] ** e
-                t = p * t if swap else t * p
+                t = p * t
         acc += t
     return acc
 
 
-def _eval_forms(all_terms: list[list], coords: np.ndarray, swap: bool) -> np.ndarray:
+def _eval_forms(all_terms: list[list], coords: np.ndarray) -> np.ndarray:
     out = np.empty((len(all_terms), coords.shape[1]), dtype=complex)
     for i, terms in enumerate(all_terms):
-        out[i] = _eval_terms(terms, coords, swap)
+        out[i] = _eval_terms(terms, coords)
     return out
 
 
@@ -289,13 +287,13 @@ def _point_chordal_batch(coords: np.ndarray, qv: np.ndarray, qnorm: float) -> np
     return np.sqrt(wedge) / norms
 
 
-def _component_distances(coords: np.ndarray, probes: list[tuple], swap: bool) -> np.ndarray:
+def _component_distances(coords: np.ndarray, probes: list[tuple]) -> np.ndarray:
     out = np.empty((coords.shape[1], len(probes)))
     for j, (kind, data, norm) in enumerate(probes):
         if kind == "curve":
             # the kernel keeps every lift at unit max-norm, so no per-point
             # rescaling is needed here
-            out[:, j] = np.abs(_eval_terms(data, coords, swap)) / norm
+            out[:, j] = np.abs(_eval_terms(data, coords)) / norm
         else:
             out[:, j] = _point_chordal_batch(coords, data, norm)
     return out
@@ -304,14 +302,6 @@ def _component_distances(coords: np.ndarray, probes: list[tuple], swap: bool) ->
 # columns per tile: the kernel's working memory is O(_TILE), not O(pixels)
 _TILE = 1 << 14
 
-# numpy computes ``a * b`` in the buffer of b, as ``b * a``, when b is an
-# unnamed temporary of at least 256 KiB: 2**14 complex columns.  The kernel's
-# products keep the order that gave while a tile held that many live columns,
-# so a full tile swaps (see _eval_terms) until its first retirement; a tile
-# never holds more than _ELIDE columns.  This is its own constant so that
-# tests can shrink _TILE without changing how a full-size tile rounds.
-_ELIDE = 1 << 14
-
 # the fewest columns in a part of a tile split across CPUs
 _MIN_PART = 1 << 12
 
@@ -319,23 +309,18 @@ _MIN_PART = 1 << 12
 def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config):
     """The orbit kernel for one tile or part of a tile, as a function of its start lifts.
 
-    ``run(tile, swap_end)`` takes a (k+1, m) array, m at most ``_TILE``, and
-    returns the step at which a column first retired (``math.inf`` if none)
-    and the six per-column arrays ``_orbit_kernel`` describes for those
-    columns.  Products swap up to that first retirement or up to step
-    ``swap_end``, whichever comes first.  A whole tile leaves ``swap_end``
-    out and swaps only if it holds ``_ELIDE`` columns; a part of a tile
-    cannot see the other parts retire, so its caller passes the swap's end.
+    ``run(tile)`` takes a (k+1, m) array, m at most ``_TILE``, and returns
+    the six per-column arrays ``_orbit_kernel`` describes for those columns.
+    Each column's orbit is computed alone, so its bits do not depend on the
+    other columns run with it.
     """
     terms = _form_terms(f.forms)
     charts = _anchor_charts(targets.cycles)
     probes = _component_probes(targets.components)
     tail_start = max_iter - cfg.convergence_window
 
-    def run(tile: np.ndarray, swap_end: float | None = None) -> tuple[float, tuple]:
+    def run(tile: np.ndarray) -> tuple[np.ndarray, ...]:
         size = tile.shape[1]
-        if swap_end is None:
-            swap_end = math.inf if size >= _ELIDE else 0
         cycle_idx = np.full(size, -1, dtype=np.int64)
         conv_iter = np.zeros(size, dtype=np.int64)
         conv_dist = np.full(size, np.inf)
@@ -349,15 +334,11 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
         cols = np.arange(size)
         streak = np.zeros(size, dtype=np.int64)
         last = np.full(size, -1, dtype=np.int64)
-        first = math.inf
 
         for it in range(1, max_iter + 1):
             if not cols.size:
                 break
-            # products swap while the whole tile is full: here, while no
-            # column of it retired before this step; in the curve probes
-            # below, after this step's retirements, while none retired yet
-            img = _eval_forms(terms, tile, it <= min(first, swap_end))
+            img = _eval_forms(terms, tile)
             m = np.abs(img).max(axis=0)
             live = np.isfinite(m) & (m > 0.0)
             if not live.all():
@@ -379,16 +360,15 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
                     live &= ~done
 
             if not live.all():
-                first = min(first, it)
                 tile, cols, streak, last = tile[:, live], cols[live], streak[live], last[live]
             if probes and it > tail_start and cols.size:
-                d = _component_distances(tile, probes, it < min(first, swap_end))
+                d = _component_distances(tile, probes)
                 best = d.min(axis=1)
                 better = best < comp_dist[cols]
                 comp_dist[cols] = np.where(better, best, comp_dist[cols])
                 comp_idx[cols] = np.where(better, d.argmin(axis=1), comp_idx[cols])
 
-        return first, (cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist)
+        return cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist
 
     return run
 
@@ -416,41 +396,31 @@ def _work_on(piece: tuple) -> tuple:
 def _run_tiles(work, out: tuple[np.ndarray, ...]) -> None:
     """Fill the 1-D arrays ``out`` from ``work``, tile by tile.
 
-    ``work(lo, hi)`` runs the whole tile of columns lo..hi-1 and
-    ``work(lo, hi, swap_end)`` a part of one, as ``_tile_kernel``'s ``run``
-    does; each returns its first retirement step and one array per output.
+    ``work(lo, hi)`` runs columns lo..hi-1, a whole tile or a part of one,
+    as ``_tile_kernel``'s ``run`` does, and returns one array per output.
 
     With two or more usable CPUs the tiles run in a pool of forked workers,
     one per CPU at most.  When there are fewer tiles than CPUs, each tile is
-    cut into about one part per CPU, of at least ``_MIN_PART`` columns.  A
-    part of a full tile swaps until its own first retirement; each part that
-    retired later than another part of its tile runs again, with the swap
-    ending where the tile first retired, so every output is the whole
-    tile's bit for bit.  Results are written into ``out`` as they arrive,
-    in tile order.  Forking hands ``work``, a closure, to the workers
-    without pickling it or importing anything again; only bounds and
+    cut into about one part per CPU, of at least ``_MIN_PART`` columns; a
+    column's bits do not depend on the columns run with it, so the parts
+    give the whole tile's outputs.  Results are written into ``out`` as they
+    arrive, in tile order.  Forking hands ``work``, a closure, to the
+    workers without pickling it or importing anything again; only bounds and
     results are pickled.  An exception raised in a worker is raised here,
     and a worker that dies raises ``BrokenProcessPool`` instead of a hang.
     """
     n = out[0].size
     cpus = _cpus()
     tiles = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
-    pieces: list[tuple] = []
-    split: list[range] = []  # the pieces of each split full tile
+    pieces: list[tuple[int, int]] = []
     for lo, hi in tiles:
-        parts = min(cpus // len(tiles), (hi - lo) // _MIN_PART)
-        if parts < 2:
-            pieces.append((lo, hi))
-            continue
-        full = hi - lo >= _ELIDE
-        if full:
-            split.append(range(len(pieces), len(pieces) + parts))
+        parts = max(1, min(cpus // len(tiles), (hi - lo) // _MIN_PART))
         cuts = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
-        pieces += [(a, b, math.inf if full else 0) for a, b in zip(cuts, cuts[1:])]
+        pieces += zip(cuts, cuts[1:])
     workers = min(len(pieces), cpus)
     with contextlib.ExitStack() as stack:
         if workers < 2:
-            results = functools.partial(itertools.starmap, work)
+            results = itertools.starmap(work, pieces)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -459,23 +429,10 @@ def _run_tiles(work, out: tuple[np.ndarray, ...]) -> None:
             pool = ProcessPoolExecutor(workers, fork, _start_worker, (work,))
             # after an error, pieces not yet started are dropped, not run
             stack.callback(pool.shutdown, cancel_futures=True)
-            results = functools.partial(pool.map, _work_on)
-
-        def fill(batch: list[tuple]) -> list[float]:
-            firsts = []
-            for (lo, hi, *_), (first, res) in zip(batch, results(batch)):
-                for dst, src in zip(out, res):
-                    dst[lo:hi] = src
-                firsts.append(first)
-            return firsts
-
-        firsts = fill(pieces)
-        reruns = []
-        for group in split:
-            end = min(firsts[i] for i in group)
-            reruns += [(*pieces[i][:2], end) for i in group if firsts[i] > end]
-        if reruns:
-            fill(reruns)
+            results = pool.map(_work_on, pieces)
+        for (lo, hi), res in zip(pieces, results):
+            for dst, src in zip(out, res):
+                dst[lo:hi] = src
 
 
 def _orbit_kernel(
@@ -503,7 +460,7 @@ def _orbit_kernel(
     run = _tile_kernel(f, targets, max_iter, cfg)
     dtypes = (np.int64, np.int64, float, np.int64, np.int64, float)
     out = tuple(np.empty(n, dtype=d) for d in dtypes)
-    _run_tiles(lambda lo, hi, swap_end=None: run(coords[:, lo:hi], swap_end), out)
+    _run_tiles(lambda lo, hi: run(coords[:, lo:hi]), out)
     return out
 
 
@@ -572,12 +529,12 @@ def sample_orbits(
 
     Orbits advance in lockstep, one tile of columns at a time, on every
     usable CPU (a lone tile is cut into parts); a column retires as soon as
-    its verdict is known, and the verdicts do not depend on the number of
-    CPUs.  Convergence means the distance to one cycle stayed below the
-    convergence tolerance for a full window of consecutive steps; orbits that
-    never confirm are checked over their last window of iterates against the
-    postcritical components and reported as accumulating when they come
-    within the accumulation tolerance.
+    its verdict is known.  A verdict depends neither on the other starts in
+    the batch nor on the number of CPUs.  Convergence means the distance to
+    one cycle stayed below the convergence tolerance for a full window of
+    consecutive steps; orbits that never confirm are checked over their last
+    window of iterates against the postcritical components and reported as
+    accumulating when they come within the accumulation tolerance.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter
@@ -815,11 +772,11 @@ def render_slice(
 
     Each pixel runs the same classification as ``sample_orbit`` on its slice
     point; the result is deterministic for a fixed spec and configuration,
-    whatever the number of CPUs.  Start points are built one tile (or one
-    part of a tile) at a time and each is reduced to labels and iteration
-    counts at once, so memory is O(tile) plus those two per pixel.  The
-    tiles run on every usable CPU; a render of fewer tiles than CPUs, such
-    as the default 128x128 (one tile), cuts each tile into parts.
+    whatever the tile size and the number of CPUs.  Start points are built
+    one tile (or one part of a tile) at a time and each is reduced to labels
+    and iteration counts at once, so memory is O(tile) plus those two per
+    pixel.  The tiles run on every usable CPU; a render of fewer tiles than
+    CPUs, such as the default 128x128 (one tile), cuts each tile into parts.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter
@@ -831,10 +788,8 @@ def render_slice(
     run = _tile_kernel(f, targets, max_iter, cfg)
     m = len(targets.cycles)
 
-    def classify_tile(lo: int, hi: int, swap_end: float | None = None) -> tuple[float, tuple]:
-        first, (cycle_idx, conv_iter, _, overflow, comp_idx, comp_dist) = run(
-            spec.columns(lo, hi), swap_end
-        )
+    def classify_tile(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        cycle_idx, conv_iter, _, overflow, comp_idx, comp_dist = run(spec.columns(lo, hi))
         labels = np.zeros(hi - lo, dtype=np.int16)
         converged = cycle_idx >= 0
         labels[converged] = (cycle_idx[converged] + 1).astype(np.int16)
@@ -842,7 +797,7 @@ def render_slice(
             ~converged & (overflow == 0) & (comp_idx >= 0) & (comp_dist < cfg.accumulation_tol)
         )
         labels[escaped] = m + 1
-        return first, (labels, np.where(converged, conv_iter, max_iter).astype(np.int32))
+        return labels, np.where(converged, conv_iter, max_iter).astype(np.int32)
 
     n_pix = spec.width * spec.height
     labels = np.empty(n_pix, dtype=np.int16)

@@ -534,7 +534,7 @@ def test_ppm_pixels_match_sidecar_colors(tmp_path):
 # grid, one streak counter per cycle); the tiled kernel must reproduce them
 _PPM_SHA256 = {
     "f 64x64": "79e1988f164c77dc15f848f233f93c507cb082085934584e2521a88846e2bcd0",
-    "lattes 32x32 120": "d5405b59009d610ec9105697fcce3a94488f6cf04fb04cd9d615b6f861ade03e",
+    "lattes 32x32 120": "2877cee97398063de2b9198ab006b537872e51f15bc5a11b1097f96e70eaa695",
 }
 _KERNEL_SHA256_F24 = (
     "a11da769d1faeefbbcae6f5b6297158c37ae9e1c50ca9e4a34a612d4dbe865a6",  # cycle index
@@ -600,6 +600,30 @@ def test_kernel_tiles_do_not_change_results(monkeypatch):
     assert outcomes == {CONVERGED, ACCUMULATES}
 
 
+def test_lattes_kernel_bits_do_not_depend_on_the_tile(monkeypatch):
+    # lattes's chaotic orbits magnify a last-bit difference in any product,
+    # so a product order that followed the number of live columns would show
+    # here: in a smaller tile, and in a start sampled alone
+    f, T, cfg = lattes_map(), targets_for("lattes"), resolve(None)
+    spec = SliceSpec.default(1, width=128, height=128)
+    starts = [spec.point(col, row) for row in range(128) for col in range(128)]
+    batch = sample_orbits(f, starts, T, max_iter=500)
+    for i in np.random.default_rng(3).choice(len(starts), size=20, replace=False):
+        vs, vb = sample_orbit(f, starts[i], T, max_iter=500), batch[i]
+        assert (vs.outcome, vs.cycle, vs.iterations, vs.distance, vs.component) == (
+            vb.outcome,
+            vb.cycle,
+            vb.iterations,
+            vb.distance,
+            vb.component,
+        )
+    coords = spec.grid()
+    whole = fatou._orbit_kernel(f, coords, T, 500, cfg)
+    monkeypatch.setattr(fatou, "_TILE", 1000)  # 17 tiles, the last ragged
+    for a, b in zip(whole, fatou._orbit_kernel(f, coords, T, 500, cfg)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_kernel_memory_does_not_grow_with_the_grid(monkeypatch):
     monkeypatch.setattr(fatou, "_cpus", lambda: 1)  # trace the tiles in this process
     coords = SliceSpec.default(2, width=256, height=256).grid()
@@ -613,9 +637,9 @@ def test_kernel_memory_does_not_grow_with_the_grid(monkeypatch):
     assert peak < 20e6, f"kernel peaked at {peak / 1e6:.1f} MB"
 
 
-# lattes 128x128 is exactly one full tile of 2**14 columns, where numpy
-# computes the power in ``t * coords[var] ** e`` in place and rounds
-# differently from a smaller tile; recorded before the per-tile kernel
+# lattes 128x128 is exactly one full tile of 2**14 columns; recorded before
+# the per-tile kernel, when numpy computed ``t * coords[var] ** e`` in the
+# power's buffer, as ``power * t``: the order every tile now takes
 _KERNEL_SHA256_LATTES128_30 = (
     "b5a41c3758763bbec72769fab4a2533bf2db0b6312d93d25a695f9e4b9e02260",  # cycle index
     "fa43239bcee7b97ca62f007cc68487560a39e19f74f3dde7486db3f98df8e471",  # step
@@ -811,7 +835,7 @@ def test_render_memory_is_per_tile(monkeypatch):
 
 
 def _pool_batches(monkeypatch):
-    """Record the pieces each pool map runs: (lo, hi) or (lo, hi, swap_end)."""
+    """Record the (lo, hi) pieces each pool map runs."""
     from concurrent.futures import ProcessPoolExecutor
 
     batches = []
@@ -842,40 +866,31 @@ def _serial_and_split(monkeypatch, f, coords, targets, max_iter, cfg):
 
 
 @pytest.mark.parametrize(
-    "name, res, max_iter, rerun",
+    "name, res, max_iter",
     [
-        ("lattes", 128, 200, False),  # a full tile that never retires
-        ("f", 128, None, True),  # a full tile whose halves first retire at different steps
-        ("f", 100, None, False),  # a ragged tile: its parts never swap
+        ("lattes", 128, 200),  # a full tile that never retires
+        ("f", 128, None),  # a full tile whose halves first retire at different steps
+        ("f", 100, None),  # a ragged tile
     ],
 )
-def test_a_lone_tile_split_across_cpus_gives_the_serial_arrays(
-    monkeypatch, name, res, max_iter, rerun
-):
+def test_a_lone_tile_split_across_cpus_gives_the_serial_arrays(monkeypatch, name, res, max_iter):
     f = {"f": f_map, "lattes": lattes_map}[name]()
     cfg = resolve(None)
     max_iter = max_iter or cfg.max_orbit_iters
     coords = SliceSpec.default(f.k, width=res, height=res).grid()
     arrays, batches = _serial_and_split(monkeypatch, f, coords, targets_for(name), max_iter, cfg)
     n = res * res
-    halves = [(0, n // 2), (n // 2, n)]
-    swap_end = math.inf if n == fatou._ELIDE else 0
-    assert batches[0] == [(lo, hi, swap_end) for lo, hi in halves]
-    if rerun:
-        (again,) = batches[1:]
-        assert again and all(piece[:2] in halves and piece[2] < max_iter for piece in again)
-    else:
-        assert len(batches) == 1
+    assert batches == [[(0, n // 2), (n // 2, n)]]
     if name == "lattes":
         cycle_idx, _, _, overflow, _, _ = arrays
         assert (cycle_idx < 0).all() and not overflow.any()
 
 
-def test_a_part_that_retired_late_is_run_again(monkeypatch):
+def test_parts_that_retire_at_different_steps_give_the_serial_arrays(monkeypatch):
     # f's products are exact whichever order they take, so f cannot tell
-    # whether a part swapped too long; lattes's chaotic orbits can.  A loose
-    # tolerance around one repelling fixed point off the real axis makes the
-    # halves of an off-center tile first retire at steps 2 and later.
+    # whether a part rounds as its whole tile; lattes's chaotic orbits can.  A
+    # loose tolerance around one repelling fixed point off the real axis makes
+    # the halves of an off-center tile first retire at steps 2 and later.
     T = targets_for("lattes")
     fixed = ProjPoint.inexact([0.568864 + 0.351578j, 1])
     (i,) = [i for i, cycle in enumerate(T.cycles) if cycle[0].is_close(fixed, 1e-5)]
@@ -883,8 +898,10 @@ def test_a_part_that_retired_late_is_run_again(monkeypatch):
     cfg = resolve(None).with_overrides(convergence_tol=0.01, convergence_window=2)
     coords = SliceSpec.default(1, width=128, height=128, center=(0.3, 0.2)).grid()
     arrays, batches = _serial_and_split(monkeypatch, lattes_map(), coords, one, 100, cfg)
-    assert batches == [[(0, 8192, math.inf), (8192, 16384, math.inf)], [(8192, 16384, 2)]]
-    assert np.count_nonzero(arrays[0] >= 0) > 0
+    assert batches == [[(0, 8192), (8192, 16384)]]
+    cycle_idx, conv_iter = arrays[:2]
+    firsts = {int(conv_iter[lo:hi][cycle_idx[lo:hi] >= 0].min()) for lo, hi in batches[0]}
+    assert len(firsts) == 2 and min(firsts) == 2
 
 
 def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):

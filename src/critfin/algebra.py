@@ -13,6 +13,12 @@ ternary forms: Macaulay's quotient det M / det M', read off the
 characteristic polynomials of M and M' so that a singular minor M' needs no
 separate fallback (for binary forms M is the Sylvester matrix and M' is
 empty).
+
+This is the package's one bridge to sympy, and it reaches only
+``sympy.polys``: ``to_ring`` gives a form's element of the grevlex ring
+Q[z, w] or Q[z, w, t], and ``from_ring`` gives it back with its terms in
+ascending exponent order.  That order matters because ``evaluate``, Newton
+polishing and the fibre coefficients sum a form's floats in stored order.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-import sympy as sp
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import ring
 
 from .config import Config, resolve
 from .errors import (
@@ -40,7 +47,8 @@ Rational = Fraction
 
 VAR_NAMES = ("z", "w", "t")
 
-_SYMS = sp.symbols("z w t")
+#: Q[z, w] and Q[z, w, t], in the degrevlex order of this module's normal form
+_RINGS = {n: ring(VAR_NAMES[:n], QQ, order="grevlex")[0] for n in (2, 3)}
 
 
 def _order_key(expo: tuple[int, ...]) -> tuple:
@@ -504,35 +512,31 @@ def poly_parse(text: str, num_vars: int | None = None) -> HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge
+# the bridge to sympy.polys
 # ---------------------------------------------------------------------------
 
 
-def to_sympy(p: HomogPoly) -> sp.Poly:
-    gens = _SYMS[: p.num_vars]
-    return sp.Poly.from_dict(
-        {e: sp.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
-        *gens,
-        domain=sp.QQ,
+def to_ring(p: HomogPoly):
+    """p as an element of the sympy.polys ring Q[z, w] or Q[z, w, t]."""
+    return _RINGS[p.num_vars].from_dict(
+        {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
     )
 
 
 def to_fraction(value) -> Fraction:
-    """A sympy or polys-domain rational (or integer) as a Fraction."""
-    q = sp.Rational(value)
-    return Fraction(int(q.p), int(q.q))
+    """A polys-domain or sympy rational (or integer) as a Fraction."""
+    return Fraction(int(value.numerator), int(value.denominator))
 
 
-def from_sympy(poly: sp.Poly, num_vars: int) -> HomogPoly:
-    terms = {tuple(expo): to_fraction(c) for expo, c in poly.as_dict().items()}
-    return HomogPoly(num_vars, terms)
+def from_ring(e, num_vars: int) -> HomogPoly:
+    """A ring element as a form, its terms in ascending exponent order (not the ring's)."""
+    return HomogPoly(num_vars, {expo: to_fraction(c) for expo, c in sorted(e.items())})
 
 
 def poly_gcd(a: HomogPoly, b: HomogPoly) -> HomogPoly:
     if a.num_vars != b.num_vars:
         raise ArityError("mixed variable counts")
-    g = sp.gcd(to_sympy(a), to_sympy(b))
-    return from_sympy(g, a.num_vars).normalized()
+    return from_ring(to_ring(a).gcd(to_ring(b)), a.num_vars).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +576,10 @@ def square_free(p: HomogPoly) -> HomogPoly:
     """Product of the distinct irreducible factors of p, in normal form."""
     if p.is_zero():
         return p
-    _, pairs = to_sympy(p).sqf_list()
+    _, pairs = to_ring(p).sqf_list()
     acc = HomogPoly.constant(p.num_vars, 1)
     for base, _mult in pairs:
-        acc = acc * from_sympy(base, p.num_vars)
+        acc = acc * from_ring(base, p.num_vars)
     return acc.normalized()
 
 
@@ -589,13 +593,11 @@ def _binary_factor_list(p: HomogPoly) -> list[tuple[HomogPoly, int]]:
     d = p.degree
     coeffs = [p.terms.get((d - j, j), Fraction(0)) for j in range(d + 1)]
     w_mult = next(j for j, c in enumerate(coeffs) if c)
-    dehom = sp.Poly(
-        [sp.Rational(c.numerator, c.denominator) for c in coeffs[w_mult:]], _SYMS[0], domain=sp.QQ
-    )
+    dehom = [QQ(c.numerator, c.denominator) for c in coeffs[w_mult:]]
     pairs = [(HomogPoly.variable(2, 1), w_mult)] if w_mult else []
-    for base, mult in dehom.factor_list()[1]:
-        k = base.degree()
-        terms = {(k - j, j): to_fraction(c) for j, c in enumerate(base.all_coeffs())}
+    for base, mult in dup_factor_list(dehom, QQ)[1]:
+        k = len(base) - 1
+        terms = {(k - j, j): to_fraction(c) for j, c in enumerate(base)}
         pairs.append((HomogPoly(2, terms), int(mult)))
     return pairs
 
@@ -624,10 +626,7 @@ def factor_uncapped(p: HomogPoly) -> Factorization:
     if p.num_vars == 2:
         pairs = _binary_factor_list(p)
     else:
-        pairs = [
-            (from_sympy(sp.Poly(base, *_SYMS), 3), int(mult))
-            for base, mult in sp.factor_list(to_sympy(p))[1]
-        ]
+        pairs = [(from_ring(base, 3), int(mult)) for base, mult in to_ring(p).factor_list()[1]]
     bases: list[tuple[HomogPoly, int]] = []
     for base, mult in pairs:
         q = base.normalized()

@@ -20,17 +20,15 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import sympy as sp
-
 from .algebra import (
     HomogPoly,
     factor,
     factor_uncapped,
-    from_sympy,
+    from_ring,
     poly_gcd,
     rational_content,
     resultant,
-    to_sympy,
+    to_ring,
 )
 from .config import Config, resolve
 from .errors import (
@@ -357,12 +355,13 @@ def _solve_degenerate_pair(
                 # fixed points, impossible for a morphism
                 raise SolverError("minor system shares a full component")
             candidates.extend(pt for pt, _m2 in solve_form_pair(base, third, cfg))
-        qa, ra = sp.div(to_sympy(A), to_sympy(g))
-        qb, rb = sp.div(to_sympy(B), to_sympy(g))
-        if not (ra.is_zero and rb.is_zero):
+        gr = to_ring(g)
+        qa, ra = divmod(to_ring(A), gr)
+        qb, rb = divmod(to_ring(B), gr)
+        if ra or rb:
             raise SolverError("the minors' common factor does not divide them exactly")
-        A = from_sympy(qa, A.num_vars)
-        B = from_sympy(qb, B.num_vars)
+        A = from_ring(qa, A.num_vars)
+        B = from_ring(qb, B.num_vars)
     if A.degree and B.degree:
         if poly_gcd(A, B).degree != 0:
             raise DegenerateEliminationError("minor pair still shares a component")

@@ -21,21 +21,24 @@ The two geometric workhorses:
   polished floating roots otherwise.  ``solve_form_pair_inexact`` runs the
   same ladder and splitter on forms with floating coefficients.
 
-The exact path stays on sympy's dense domains and never builds a sympy
-expression: the t-eliminant is the subresultant-PRS resultant of two dense
-univariates in t over ZZ[z, w] (denominators cleared, then divided back out),
-and an exact fiber is the dense gcd over QQ of two univariates.  Newton
-polishing evaluates complex terms prepared once per projection center, in
-each form's own term order and with ``evaluate``'s per-term arithmetic, so
-every float comes out bit for bit as from ``evaluate``.
+Forms reach sympy through ``algebra.to_ring`` only; ``curve_image`` reduces
+in that grevlex ring.  The exact path stays on sympy's dense domains and
+never builds a sympy expression: the t-eliminant is the subresultant-PRS
+resultant of two dense univariates in t over ZZ[z, w] (denominators cleared,
+then divided back out), and an exact fiber is the dense gcd over QQ of two
+univariates.  Newton polishing evaluates complex terms prepared once per
+projection center, in each form's own term order and with ``evaluate``'s
+per-term arithmetic, so every float comes out bit for bit as from
+``evaluate``.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,6 +57,7 @@ from .algebra import (
     poly_gcd,
     rational_content,
     to_fraction,
+    to_ring,
 )
 from .config import Config, resolve
 from .errors import (
@@ -64,7 +68,6 @@ from .errors import (
     SolverError,
 )
 
-_RING3 = ring("z,w,t", QQ, order="grevlex")[0]
 #: coefficient domain ZZ[z, w] of the t-eliminant's dense univariates
 _ZZ_ZW = ring("z,w", ZZ)[0].to_domain()
 
@@ -106,7 +109,7 @@ class ProjPoint:
         vals = [complex(c) for c in coords]
         mags = [abs(v) for v in vals]
         top = max(mags)
-        if top == 0.0 or not all(np.isfinite([v.real, v.imag]).all() for v in vals):
+        if top == 0.0 or not all(cmath.isfinite(v) for v in vals):
             raise InputError("inexact point must have finite, not-all-zero coordinates")
         pivot = vals[mags.index(top)]
         return cls(tuple(v / pivot for v in vals), exact=False)
@@ -156,7 +159,7 @@ class ProjPoint:
                 wedge += abs(p[i] * q[j] - p[j] * q[i]) ** 2
         np_ = sum(abs(c) ** 2 for c in p)
         nq = sum(abs(c) ** 2 for c in q)
-        return float(np.sqrt(wedge / (np_ * nq)))
+        return sqrt(wedge / (np_ * nq))
 
     def is_close(self, other: "ProjPoint", tol: float) -> bool:
         if self.exact and other.exact:
@@ -416,12 +419,6 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
 # ---------------------------------------------------------------------------
 
 
-def _to_ring3(p: HomogPoly):
-    return _RING3.from_dict(
-        {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
-    )
-
-
 def curve_image(f, c: Component, cfg: Config | None = None) -> Component:
     """Image of an irreducible curve under a morphism of P^2.
 
@@ -449,9 +446,9 @@ def curve_image(f, c: Component, cfg: Config | None = None) -> Component:
             f"image degree bound {bound} exceeds the curve degree cap "
             f"{cfg.factor_degree_cap}"
         )
-    cr = _to_ring3(c.poly)
-    fr = [_to_ring3(fi) for fi in forms]
-    pows = [[_RING3.one], [_RING3.one], [_RING3.one]]
+    cr = to_ring(c.poly)
+    fr = [to_ring(fi) for fi in forms]
+    pows = [[cr.ring.one] for _ in fr]
 
     def power(i: int, e: int):
         while len(pows[i]) <= e:
@@ -491,8 +488,8 @@ def curve_image(f, c: Component, cfg: Config | None = None) -> Component:
         terms = {mono: to_fraction(v) for mono, v in zip(target, vec) if v != 0}
         q = HomogPoly(3, terms).normalized()
         # certify: divisibility (structural, but re-checked) + irreducibility
-        pullback = _to_ring3(q.compose(forms))
-        if not pullback.rem([cr]) == _RING3.zero:
+        pullback = to_ring(q.compose(forms))
+        if pullback.rem([cr]):
             raise SolverError("image candidate failed exact divisibility")
         fac = factor(q, cfg)
         if len(fac.factors) != 1 or fac.factors[0][1] != 1:

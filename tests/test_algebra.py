@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from critfin import algebra
 from critfin.algebra import (
@@ -14,16 +15,15 @@ from critfin.algebra import (
     HomogPoly,
     _Parser,
     factor,
-    from_sympy,
     monomials_of_degree,
     poly_gcd,
     poly_parse,
     resultant,
     square_free,
-    to_sympy,
 )
 from critfin.config import Config
 from critfin.errors import ArityError, BudgetError, InhomogeneityError, ParseError
+from expression_bridge import SYMS, from_sympy, to_sympy
 
 Z3 = HomogPoly.variable(3, 0)
 W3 = HomogPoly.variable(3, 1)
@@ -239,8 +239,8 @@ def test_factor_respects_degree_cap(monkeypatch):
     for num_vars in (2, 3):
         p = (poly_parse("z - w", num_vars) * poly_parse("z + 2*w", num_vars)) ** 13
         with monkeypatch.context() as m:
-            m.setattr(sp, "factor_list", refuse)
-            m.setattr(sp.Poly, "factor_list", refuse)
+            m.setattr(algebra, "dup_factor_list", refuse)
+            m.setattr(PolyElement, "factor_list", refuse)
             with pytest.raises(BudgetError):
                 factor(p)
         assert factor(p, Config(factor_degree_cap=30)).reassemble() == p  # raised cap admits it
@@ -302,6 +302,50 @@ def test_binary_factor_needs_no_multivariate_factoring(monkeypatch):
 
 def test_gcd_of_coprime_forms_is_unit():
     assert poly_gcd(poly_parse("z^2 - w*t"), poly_parse("w^2", 3)).degree == 0
+
+
+def _expression_factor_bases(p: HomogPoly) -> list[HomogPoly]:
+    """factor's bases through sympy expression Polys: p(z, 1) for binary forms."""
+    if p.num_vars == 3:
+        pairs = sp.factor_list(to_sympy(p))[1]
+        bases = [from_sympy(sp.Poly(b, *SYMS), 3) for b, _m in pairs]
+    else:
+        d = p.degree
+        coeffs = [p.terms.get((d - j, j), Fraction(0)) for j in range(d + 1)]
+        w_mult = next(j for j, c in enumerate(coeffs) if c)
+        dehom = sp.Poly([sp.Rational(c.numerator, c.denominator) for c in coeffs[w_mult:]], SYMS[0])
+        bases = [HomogPoly.variable(2, 1)] if w_mult else []
+        for b, _m in dehom.factor_list()[1]:
+            k = b.degree()
+            bases.append(HomogPoly(2, {(k - j, j): algebra.to_fraction(c) for j, c in enumerate(b.all_coeffs())}))
+    bases = [b.normalized() for b in bases if b.degree]
+    return sorted(bases, key=lambda b: (b.degree, b.sort_key()))
+
+
+def test_ring_bridge_matches_the_expression_route_term_for_term():
+    # forms sum their terms in stored order, so the ring bridge must hand back
+    # the expression route's terms in its order too, not only the same terms
+    rng = random.Random(1305)
+    for num_vars, cases in ((2, 40), (3, 25)):
+        for _ in range(cases):
+            shared = random_form(rng, num_vars, rng.randint(1, 2))
+            other = random_form(rng, num_vars, rng.randint(1, 2))
+            unit = Fraction(rng.choice(NONZERO), rng.randint(1, 6))
+            a = unit * shared * other ** rng.randint(1, 2)
+            b = -unit * shared ** rng.randint(1, 2) * random_form(rng, num_vars, 1)
+            pairs = [
+                (poly_gcd(a, b), from_sympy(sp.gcd(to_sympy(a), to_sympy(b)), num_vars).normalized()),
+                (algebra.from_ring(divmod(algebra.to_ring(a), algebra.to_ring(shared))[0], num_vars),
+                 from_sympy(sp.div(to_sympy(a), to_sympy(shared))[0], num_vars)),
+            ]
+            want_sqf = HomogPoly.constant(num_vars, 1)
+            for base, _m in to_sympy(a).sqf_list()[1]:
+                want_sqf = want_sqf * from_sympy(base, num_vars)
+            pairs.append((square_free(a), want_sqf.normalized()))
+            got_bases = [base for base, _m in factor(a).factors]
+            pairs.extend(zip(got_bases, _expression_factor_bases(a), strict=True))
+            for got, want in pairs:
+                assert list(got.terms.items()) == list(want.terms.items()), (str(a), str(b))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,9 @@ import sympy as sp
 from critfin.algebra import (
     HomogPoly,
     factor,
-    from_sympy,
     monomials_of_degree,
     poly_parse,
     to_fraction,
-    to_sympy,
 )
 from critfin.config import Config
 from critfin.errors import BudgetError, InputError, SolverError
@@ -45,6 +43,7 @@ from critfin.geometry import (
     solve_form_pair,
     solve_form_pair_inexact,
 )
+from expression_bridge import from_sympy, to_sympy
 
 F_FORMS = [poly_parse("z^2 - w*t"), poly_parse("w^2", 3), poly_parse("t^2", 3)]
 POWER_FORMS = [poly_parse("z^2", 3), poly_parse("w^2", 3), poly_parse("t^2", 3)]
@@ -78,6 +77,16 @@ def test_zero_vector_rejected():
         ProjPoint.exact_point([0, 0, 0])
     with pytest.raises(InputError):
         ProjPoint.inexact([0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf"), complex(1.0, float("inf")), complex(float("nan"), 0.0)]
+)
+def test_inexact_point_refuses_nonfinite_coordinates(bad):
+    with pytest.raises(InputError):
+        ProjPoint.inexact([1.0, bad, 0.5])
+    with pytest.raises(InputError):
+        ProjPoint.inexact([bad, 1.0])
 
 
 def test_chordal_metric_properties():
@@ -361,8 +370,6 @@ def test_curve_image_agrees_with_elimination_oracle():
                 survivors.append(base)
         assert len(survivors) == 1
         expr = sp.expand(survivors[0].subs({y0: zs, y1: ws, y2: ts}))
-        from critfin.algebra import from_sympy
-
         oracle = from_sympy(sp.Poly(expr, zs, ws, ts), 3).normalized()
         assert oracle == got
 

@@ -8,11 +8,12 @@ and printing is degree-reverse-lexicographic with z > w > t.
 The heavy ring operations (gcd, square-free decomposition, irreducible
 factorization over Q, characteristic polynomials) are delegated to
 ``sympy.polys``; this module owns the representation, the parser, the normal
-form, and the resultant.  The resultant takes one route for binary and
-ternary forms: Macaulay's quotient det M / det M', read off the
-characteristic polynomials of M and M' so that a singular minor M' needs no
-separate fallback (for binary forms M is the Sylvester matrix and M' is
-empty).
+form, the resultant, and the linear and quadratic factors of binary forms,
+which it splits off before Zassenhaus sees the rest.  The resultant takes
+one route for binary and ternary forms: Macaulay's quotient det M / det M',
+read off the characteristic polynomials of M and M' so that a singular minor
+M' needs no separate fallback (for binary forms M is the Sylvester matrix
+and M' is empty).
 
 This is the package's one bridge to sympy, and it reaches only
 ``sympy.polys``: ``to_ring`` gives a form's element of the grevlex ring
@@ -26,13 +27,15 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isfinite, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
+from sympy.polys.densearith import dup_div
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from .config import Config, resolve
 from .errors import (
@@ -83,6 +86,27 @@ def rational_content(values: Iterable[Fraction]) -> Fraction:
         num = gcd(num, abs(c.numerator))
         den = lcm(den, c.denominator)
     return Fraction(num, den)
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The product of two term dicts, in ``HomogPoly.__mul__``'s loop order, zeros dropped."""
+    terms: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return {e: c for e, c in terms.items() if c}
+
+
+def _power(a: dict, n: int, num_vars: int) -> dict:
+    """a^n for a term dict, by square-and-multiply from the constant 1."""
+    result = {(0,) * num_vars: 1}
+    while n:
+        if n & 1:
+            result = _product(result, a)
+        a = _product(a, a) if n > 1 else a
+        n >>= 1
+    return result
 
 
 class HomogPoly:
@@ -184,26 +208,14 @@ class HomogPoly:
             return NotImplemented
         if self.num_vars != other.num_vars:
             raise ArityError("mixed variable counts")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return HomogPoly(self.num_vars, terms)
+        return HomogPoly(self.num_vars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "HomogPoly":
         if n < 0:
             raise ArityError("negative power of a form")
-        result = HomogPoly.constant(self.num_vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return HomogPoly(self.num_vars, _power(self.terms, n, self.num_vars))
 
     # -- calculus / evaluation ----------------------------------------------
 
@@ -232,18 +244,42 @@ class HomogPoly:
         return acc
 
     def compose(self, forms: Sequence["HomogPoly"]) -> "HomogPoly":
-        """Substitute ``forms[i]`` for variable ``i``."""
+        """Substitute ``forms[i]`` for variable ``i``.
+
+        Runs on integers: self is scaled by the lcm D of its denominators and
+        every form by the one lcm L of theirs, so the integer result divided
+        by D * L^deg(self) is the answer (each term of self has total
+        exponent deg(self)).  Each power of a form is computed once per call.
+        The products and the running sum keep the loop order of ``*``,
+        ``**`` and ``+`` on forms and drop zeros where they do, so the result
+        has the same terms in the same order as that Fraction expansion;
+        Newton polishing and fibre coefficients sum floats in that order.
+        """
         if len(forms) != self.num_vars:
             raise ArityError("substitution needs one form per variable")
         nv = forms[0].num_vars
-        acc = HomogPoly.zero(nv)
-        for expo, c in self.terms.items():
-            term = HomogPoly.constant(nv, c)
-            for f, e in zip(forms, expo):
+        if not self.terms:
+            return HomogPoly.zero(nv)
+        den, ints = _clear_denominators(self)
+        scale = lcm(*(c.denominator for f in forms for c in f.terms.values()))
+        scaled = [{e: c.numerator * (scale // c.denominator) for e, c in f.terms.items()} for f in forms]
+        powers: dict[tuple[int, int], dict] = {}
+        acc: dict[tuple[int, ...], int] = {}
+        for expo, c in ints.items():
+            term = {(0,) * nv: c}
+            for i, e in enumerate(expo):
                 if e:
-                    term = term * f**e
-            acc = acc + term
-        return acc
+                    if (i, e) not in powers:
+                        powers[i, e] = _power(scaled[i], e, nv)
+                    term = _product(term, powers[i, e])
+            for key, v in term.items():
+                total = acc.get(key, 0) + v
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+        den *= scale**self.degree
+        return HomogPoly(nv, {e: Fraction(c, den) for e, c in acc.items()})
 
     # -- normal form ---------------------------------------------------------
 
@@ -583,22 +619,146 @@ def square_free(p: HomogPoly) -> HomogPoly:
     return acc.normalized()
 
 
+def _rational_near(x: float, lc: int):
+    """Convergents p/q of x's continued fraction with q | lc, near x.
+
+    A rational root p/q of an integer polynomial with leading coefficient lc
+    has q | lc, and once x is within 1/(2 q^2) of it, p/q is a convergent of
+    x (Legendre).  These are candidates only; callers test them exactly.
+    """
+    if not isfinite(x):
+        return
+    tol = 1e-6 * max(1.0, abs(x))
+    rest = Fraction(x)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = rest.numerator // rest.denominator
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        if k1 > abs(lc):
+            return
+        if lc % k1 == 0 and abs(h1 / k1 - x) <= tol:
+            yield Fraction(h1, k1)
+        rest -= a
+        if not rest:
+            return
+        rest = 1 / rest
+
+
+def _near_real(value: complex, scale: float) -> bool:
+    return abs(value.imag) <= 1e-6 * max(1.0, scale)
+
+
+def _is_irreducible(f: list[int]) -> bool:
+    """Whether f is linear, or a quadratic whose discriminant is not a square."""
+    if len(f) != 3:
+        return len(f) == 2
+    disc = f[1] ** 2 - 4 * f[0] * f[2]
+    return disc < 0 or isqrt(disc) ** 2 != disc
+
+
+def _split_off(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g over ZZ (dense, descending), or None if g does not divide f."""
+    quo, rem = dup_div(f, g, ZZ)
+    return None if rem else quo
+
+
+def _linear_candidates(f: list[int], root: complex):
+    """Primitive q*z - p for rational p/q near root with q^n f(p/q) = 0 exactly."""
+    if not _near_real(root, abs(root)):
+        return
+    for x in _rational_near(root.real, f[0]):
+        p, q = x.numerator, x.denominator
+        value = 0
+        for i, c in enumerate(f):
+            value = value * p + c * q**i
+        if not value:
+            yield [q, -p]
+
+
+def _quadratic_candidates(f: list[int], r1: complex, r2: complex):
+    """Primitive a*z^2 + b*z + c near a(z - r1)(z - r2), with a | lc(f) and
+    a discriminant that is not a square."""
+    s, pr = r1 + r2, r1 * r2
+    scale = max(abs(s), abs(pr))
+    if not (_near_real(s, scale) and _near_real(pr, scale)):
+        return
+    for sum_ in _rational_near(s.real, f[0]):
+        for prod_ in _rational_near(pr.real, f[0]):
+            a = lcm(sum_.denominator, prod_.denominator)
+            b, c = int(-a * sum_), int(a * prod_)
+            g = gcd(a, b, c)
+            quad = [a // g, b // g, c // g]
+            if f[0] % a == 0 and _is_irreducible(quad):
+                yield quad
+
+
+def _split_low_degree(f: list[int]) -> list[list[int]]:
+    """The irreducible factors of a square-free primitive integer polynomial.
+
+    ``np.roots`` proposes the factors: rational roots p/q with q | lc(f),
+    then pairs of the remaining roots as rational quadratics.  A linear
+    factor is accepted only on an exact integer zero and an exact division,
+    a quadratic only on an exact division and a discriminant that is not a
+    square (so it is irreducible over Q).  Only what is left, if it is not
+    itself linear or an irreducible quadratic, goes to Zassenhaus
+    (``dup_factor_list``).  A missed candidate costs time, never a factor.
+    """
+    # imported here: a module-level numpy import grows every process's peak
+    # RSS.  Complex coefficients keep np.roots on the LAPACK routine (zgeev)
+    # the geometry layer loads anyway; real ones would load dgeev as well.
+    import numpy as np
+
+    found: list[list[int]] = []
+    if len(f) > 2 and not _is_irreducible(f):
+        top = max(abs(c) for c in f)
+        left = []
+        for root in np.roots(np.array([c / top for c in f], dtype=complex)):
+            for lin in _linear_candidates(f, root):
+                quo = _split_off(f, lin)
+                if quo is not None:
+                    found.append(lin)
+                    f = quo
+                    break
+            else:
+                left.append(root)
+        used: set[int] = set()
+        for i in range(len(left)):
+            for j in range(i + 1, len(left)):
+                if len(f) <= 3 or i in used or j in used:
+                    continue
+                for quad in _quadratic_candidates(f, left[i], left[j]):
+                    quo = _split_off(f, quad)
+                    if quo is not None:
+                        found.append(quad)
+                        f = quo
+                        used.update((i, j))
+                        break
+    if _is_irreducible(f):
+        found.append(f)
+    elif len(f) > 2:
+        found.extend(base for base, _m in dup_factor_list(f, ZZ)[1])
+    return found
+
+
 def _binary_factor_list(p: HomogPoly) -> list[tuple[HomogPoly, int]]:
     """Factors of a binary form, from the univariate factoring of p(z, 1).
 
     p(z, 1) drops one degree for each leading zero coefficient of p; that
-    drop is the multiplicity of the factor w (the root at [1 : 0]).  Every
-    other factor is homogenised back to its own degree.
+    drop is the multiplicity of the factor w (the root at [1 : 0]).  The
+    rest, with denominators cleared, splits into square-free parts over ZZ
+    (``dup_sqf_list``), and each part into irreducibles by
+    ``_split_low_degree``.  Every factor is homogenised back to its own degree.
     """
     d = p.degree
-    coeffs = [p.terms.get((d - j, j), Fraction(0)) for j in range(d + 1)]
+    _, ints = _clear_denominators(p)
+    coeffs = [ints.get((d - j, j), 0) for j in range(d + 1)]
     w_mult = next(j for j, c in enumerate(coeffs) if c)
-    dehom = [QQ(c.numerator, c.denominator) for c in coeffs[w_mult:]]
     pairs = [(HomogPoly.variable(2, 1), w_mult)] if w_mult else []
-    for base, mult in dup_factor_list(dehom, QQ)[1]:
-        k = len(base) - 1
-        terms = {(k - j, j): to_fraction(c) for j, c in enumerate(base)}
-        pairs.append((HomogPoly(2, terms), int(mult)))
+    for part, mult in dup_sqf_list(coeffs[w_mult:], ZZ)[1]:
+        for base in _split_low_degree(part):
+            k = len(base) - 1
+            terms = {(k - j, j): Fraction(c) for j, c in enumerate(base)}
+            pairs.append((HomogPoly(2, terms), int(mult)))
     return pairs
 
 
@@ -606,8 +766,12 @@ def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
     """Irreducible factorization over Q.
 
     A binary form is factored through its dehomogenisation p(z, 1) in one
-    variable, with the power of w read off the degree drop; a ternary form
-    is factored as a multivariate polynomial.  Inputs above the configured
+    variable, with the power of w read off the degree drop: linear and
+    quadratic factors proposed by floating roots and accepted only by exact
+    division, and Zassenhaus only for what they leave (``_binary_factor_list``).
+    A ternary form is factored as a multivariate polynomial.  The
+    factorization over Q is unique and its bases are normalized and sorted,
+    so the result does not depend on the route.  Inputs above the configured
     degree cap are refused with BudgetError (factoring cost is the one
     genuinely superpolynomial step exposed to user-controlled input).
     """

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
@@ -393,6 +394,9 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
     factorization, which ``factor`` computes from p(z, 1); the root [1 : 0]
     is the factor w, with multiplicity the degree drop of p(z, 1)); roots of
     higher-degree irreducible factors are floating and Newton-polished.
+    ``factor`` finds most factors from floating candidates that it accepts
+    only on exact division, but its result is the unique factorization,
+    sorted, so the roots and their order do not depend on that route.
     """
     cfg = resolve(cfg)
     if p.num_vars != 2:
@@ -593,7 +597,13 @@ class _NewtonSystem:
 def _newton_system(
     system: _NewtonSystem, start: tuple[complex, complex, complex], cfg: Config
 ) -> tuple[complex, complex, complex]:
-    """Polish a root of the system {A = B = 0} in the chart of its largest coord."""
+    """Polish a root of the system {A = B = 0} in the chart of its largest coord.
+
+    Each step is a function of the iterate alone.  So once an iterate
+    repeats bit for bit, the steps since its first visit recur to the end
+    without stopping, and the iterate the full loop would end on is read
+    off that cycle.
+    """
     coords = list(start)
     mags = [abs(c) for c in coords]
     chart = mags.index(max(mags))
@@ -605,7 +615,16 @@ def _newton_system(
     pb = [system.partials[1][i] for i in free]
     acc = system.start
     exponents = range(system.degree + 1)
-    for _ in range(cfg.newton_max_steps):
+    seen: dict[bytes, int] = {}
+    trail: list[tuple[complex, ...]] = []
+    for step in range(cfg.newton_max_steps):
+        # bytes, not floats: 0.0 == -0.0, yet the sign of a zero can reach the output
+        key = struct.pack("6d", *(v for c in coords for v in (c.real, c.imag)))
+        if key in seen:
+            first = seen[key]
+            return trail[first + (cfg.newton_max_steps - first) % (step - first)]
+        seen[key] = step
+        trail.append(tuple(coords))
         powers = [[v**e for e in exponents] for v in coords]
         fa = _evaluate_terms(ta, powers, acc)
         fb = _evaluate_terms(tb, powers, acc)

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
-from critfin import algebra
+from critfin import algebra, cli
 from critfin.algebra import (
     Factorization,
     HomogPoly,
@@ -22,8 +22,10 @@ from critfin.algebra import (
     square_free,
 )
 from critfin.config import Config
+from critfin.dynamics import iterate
 from critfin.errors import ArityError, BudgetError, InhomogeneityError, ParseError
-from expression_bridge import SYMS, from_sympy, to_sympy
+from critfin.geometry import _PROJECTION_SHIFTS, _shift_form
+from expression_bridge import SYMS, assemble, from_sympy, to_sympy, zassenhaus_factor
 
 Z3 = HomogPoly.variable(3, 0)
 W3 = HomogPoly.variable(3, 1)
@@ -249,12 +251,7 @@ def test_factor_respects_degree_cap(monkeypatch):
 def _bivariate_factorization(p: HomogPoly) -> Factorization:
     """Reference: factor a binary form as a bivariate polynomial, normalise and sort."""
     _, pairs = sp.factor_list(to_sympy(p))
-    bases = [(from_sympy(sp.Poly(b, *sp.symbols("z w")), 2).normalized(), int(m)) for b, m in pairs]
-    bases = sorted(((b, m) for b, m in bases if b.degree), key=lambda bm: (bm[0].degree, bm[0].sort_key()))
-    lc_product = Fraction(1)
-    for base, mult in bases:
-        lc_product *= base.leading_term()[1] ** mult
-    return Factorization(unit=p.leading_term()[1] / lc_product, factors=tuple(bases))
+    return assemble(p, [(from_sympy(sp.Poly(b, *sp.symbols("z w")), 2), m) for b, m in pairs])
 
 
 def test_binary_factor_matches_bivariate_factoring():
@@ -298,6 +295,138 @@ def test_binary_factor_needs_no_multivariate_factoring(monkeypatch):
     fac = factor(p)
     assert fac.reassemble() == p
     assert sum(b.degree * m for b, m in fac.factors) == 16 and len(fac.factors) == 9
+
+
+def _same_factorization(got: Factorization, want: Factorization) -> bool:
+    """Equal, and every base with its terms in the same order."""
+    return got == want and [list(b.terms.items()) for b, _m in got.factors] == [
+        list(b.terms.items()) for b, _m in want.factors
+    ]
+
+
+def _seeded_binary_form(rng: random.Random) -> HomogPoly:
+    """A product of seeded factor shapes, each to a power, with content and powers of z and w."""
+    z, w = HomogPoly.variable(2, 0), HomogPoly.variable(2, 1)
+
+    def binary(*coeffs):
+        k = len(coeffs) - 1
+        return HomogPoly(2, {(k - j, j): Fraction(c) for j, c in enumerate(coeffs)})
+
+    def quadratic(sign):
+        # a*z^2 + b*z*w + c*w^2 with a discriminant of the given sign, or split
+        while True:
+            a, b, c = rng.randint(1, 12), rng.randint(-20, 20), rng.randint(-20, 20)
+            disc = b * b - 4 * a * c
+            if sign is None or (disc > 0) - (disc < 0) == sign:
+                return binary(a, b, c)
+
+    shapes = [
+        lambda: binary(rng.randint(1, 9), rng.randint(-9, 9)),  # small rational root
+        lambda: binary(rng.randint(1, 10**6), rng.randint(-(10**6), 10**6)),  # large denominator
+        lambda: binary(10**4 + 1, -(10**4)) * binary(10**4, -(10**4 - 1)),  # near-equal roots
+        lambda: quadratic(None),  # split or not, as drawn
+        lambda: quadratic(1),  # real roots: irrational unless the discriminant is a square
+        lambda: quadratic(-1),  # complex conjugate roots
+        lambda: binary(1, 0, 0, -rng.choice([2, 3, 5, 7])),  # z^3 - n w^3: one real irrational root
+        lambda: binary(*(rng.randint(-9, 9) or 1 for _ in range(4))),  # cubic
+        lambda: binary(*(rng.randint(-9, 9) or 1 for _ in range(5))),  # quartic
+        lambda: quadratic(-1) * quadratic(1),  # quartic that splits into quadratics
+    ]
+    p = HomogPoly.constant(2, Fraction(rng.choice(NONZERO), rng.randint(1, 12)))
+    for _ in range(rng.randint(1, 3)):
+        p = p * rng.choice(shapes)() ** rng.choice([1, 1, 1, 2, 3])
+    return p * z ** rng.randint(0, 2) * w ** rng.randint(0, 2)
+
+
+def test_binary_factor_matches_one_zassenhaus_call_on_seeded_forms():
+    rng = random.Random(1401)
+    for _ in range(1000):
+        p = _seeded_binary_form(rng)
+        assert _same_factorization(algebra.factor_uncapped(p), zassenhaus_factor(p)), str(p)
+
+
+@pytest.mark.parametrize(
+    "fixture, count", [("f", 25), ("power", 32), ("quadratic", 3), ("lattes4", 3)]
+)
+def test_binary_factor_matches_one_zassenhaus_call_on_analyze_eliminants(
+    monkeypatch, capsys, fixture, count
+):
+    seen: list[HomogPoly] = []
+    split = algebra._binary_factor_list
+
+    def record(p):
+        seen.append(p)
+        return split(p)
+
+    monkeypatch.setattr(algebra, "_binary_factor_list", record)
+    assert cli.main(["analyze", fixture]) == 0
+    capsys.readouterr()
+    assert len(seen) == count
+    monkeypatch.undo()
+    for p in seen:
+        assert _same_factorization(algebra.factor_uncapped(p), zassenhaus_factor(p)), str(p)
+
+
+def _fraction_compose(p: HomogPoly, forms) -> HomogPoly:
+    """p(forms) expanded over Fraction as the form operators did it.
+
+    Each term is c * forms[0]^e0 * ..., each power by square-and-multiply from
+    1, and the terms are summed into a running total; every product and every
+    sum drops its zero coefficients.  So the result has the terms of that
+    expansion in its order.
+    """
+    nv = forms[0].num_vars
+    one = (0,) * nv
+
+    def times(a, b):
+        out: dict = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+        return {e: c for e, c in out.items() if c != 0}
+
+    total: dict = {}
+    for expo, c in p.terms.items():
+        term = {one: c}
+        for form, e in zip(forms, expo):
+            if e:
+                power, base, n = {one: Fraction(1)}, form.terms, e
+                while n:
+                    if n & 1:
+                        power = times(power, base)
+                    base = times(base, base) if n > 1 else base
+                    n >>= 1
+                term = times(term, power)
+        merged = dict(total)
+        for key, v in term.items():
+            merged[key] = merged.get(key, Fraction(0)) + v
+        total = {key: v for key, v in merged.items() if v != 0}
+    return HomogPoly(nv, total)
+
+
+def test_compose_matches_the_fraction_expansion_at_every_projection_shift():
+    rng = random.Random(1402)
+    z, w, t = (HomogPoly.variable(3, i) for i in range(3))
+    for degree in range(7):
+        for _ in range(3):
+            p = random_form(rng, 3, degree) * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for a, b in _PROJECTION_SHIFTS:
+                want = _fraction_compose(p, [z + t * Fraction(a), w + t * Fraction(b), t])
+                assert list(_shift_form(p, a, b).terms.items()) == list(want.terms.items())
+        # rational substitutions too, with cancellation: a sum of forms and its negation
+        q = random_form(rng, 3, 2) * Fraction(1, rng.randint(2, 9))
+        forms = [q, -q + random_form(rng, 3, 2) * Fraction(rng.randint(1, 5), 7), q * Fraction(3, 4)]
+        p = random_form(rng, 3, degree) * Fraction(5, rng.randint(1, 9))
+        assert list(p.compose(forms).terms.items()) == list(_fraction_compose(p, forms).terms.items())
+
+
+@pytest.mark.parametrize("fixture", ["f", "g3", "g4", "lattes4", "power", "quadratic"])
+def test_compose_matches_the_fraction_expansion_on_second_iterates(fixture):
+    f, _ = cli.load_map(fixture)
+    want = [_fraction_compose(g, list(f.forms)) for g in f.forms]
+    got = iterate(f, 2).forms
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
 
 
 def test_gcd_of_coprime_forms_is_unit():

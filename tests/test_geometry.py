@@ -1,5 +1,6 @@
 """Projective points, membership, curve images, and intersections."""
 
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -27,7 +28,9 @@ from critfin.geometry import (
     _common_roots,
     _evaluate_terms,
     _exact_directions,
+    _PROJECTION_SHIFTS,
     _NewtonSystem,
+    _newton_system,
     _polish_univariate,
     _resultant_t,
     _shift_form,
@@ -669,3 +672,67 @@ def test_prepared_terms_evaluate_bit_for_bit():
             for terms, ref in pairs:
                 got = _evaluate_terms(terms, powers, system.start)
                 assert repr(got) == repr(complex(ref.evaluate(pt)))
+
+
+def _plain_newton_system(system, start, cfg):
+    """``_newton_system`` without its cycle jump: every step up to the cap.
+
+    Also says whether an iterate came back bit for bit (repr tells the sign
+    of a zero apart).
+    """
+    coords = list(start)
+    mags = [abs(c) for c in coords]
+    chart = mags.index(max(mags))
+    pivot = coords[chart]
+    coords = [c / pivot for c in coords]
+    free = [i for i in range(3) if i != chart]
+    ta, tb = system.forms
+    pa = [system.partials[0][i] for i in free]
+    pb = [system.partials[1][i] for i in free]
+    acc = system.start
+    exponents = range(system.degree + 1)
+    seen = []
+    for _ in range(cfg.newton_max_steps):
+        seen.append(repr(coords))
+        powers = [[v**e for e in exponents] for v in coords]
+        fa = _evaluate_terms(ta, powers, acc)
+        fb = _evaluate_terms(tb, powers, acc)
+        j00 = _evaluate_terms(pa[0], powers, acc)
+        j01 = _evaluate_terms(pa[1], powers, acc)
+        j10 = _evaluate_terms(pb[0], powers, acc)
+        j11 = _evaluate_terms(pb[1], powers, acc)
+        det = j00 * j11 - j01 * j10
+        if abs(det) < 1e-300:
+            break
+        du = (fa * j11 - fb * j01) / det
+        dv = (fb * j00 - fa * j10) / det
+        coords[free[0]] -= du
+        coords[free[1]] -= dv
+        if max(abs(du), abs(dv)) <= 1e-16 * max(1.0, abs(coords[free[0]]), abs(coords[free[1]])):
+            break
+    return tuple(coords), len(set(seen)) < len(seen)
+
+
+def test_newton_cycle_jump_ends_where_the_plain_loop_does():
+    # seeded starts near the fixed points [u : v : 1] of power^2 with u^3 =
+    # v^3 = 1, at four projection centres: near an irrational root the
+    # iterates settle into a cycle of rounding noise, and the jump must land
+    # on the plain loop's last iterate bit for bit
+    cfg = Config()
+    rng = random.Random(1405)
+    x = [HomogPoly.variable(3, i) for i in range(3)]
+    forms = [p.compose(POWER_FORMS) for p in POWER_FORMS]
+    minors = [forms[i] * x[j] - forms[j] * x[i] for i, j in [(0, 1), (0, 2), (1, 2)]]
+    omega = cmath.exp(2j * cmath.pi / 3)
+    cycled = 0
+    for A, B in itertools.combinations(minors, 2):
+        for a, b in _PROJECTION_SHIFTS[:4]:
+            system = _NewtonSystem(_shift_form(A, a, b), _shift_form(B, a, b))
+            for _ in range(10):
+                u, v = omega ** rng.randrange(3), omega ** rng.randrange(3)
+                noise = [complex(rng.gauss(0, 1e-6), rng.gauss(0, 1e-6)) for _ in range(3)]
+                start = tuple(c + n for c, n in zip((u - a, v - b, 1), noise))
+                want, repeated = _plain_newton_system(system, start, cfg)
+                assert repr(_newton_system(system, start, cfg)) == repr(want)
+                cycled += repeated
+    assert cycled >= 10

@@ -37,3 +37,41 @@ def test_src_reaches_sympy_only_through_sympy_polys():
     sympy = [(name, mod) for name, mod in imported if mod == "sympy" or mod.startswith("sympy.")]
     assert {name for name, _ in sympy} >= {"algebra.py", "geometry.py"}
     assert [(name, mod) for name, mod in sympy if not (mod + ".").startswith("sympy.polys.")] == []
+
+
+def test_algebra_imports_numpy_only_where_it_proposes_roots():
+    # measured on `critfin analyze f` and `analyze power` (2 vCPUs, Python
+    # 3.11, numpy 2.4), median peak RSS of five runs: a module-level
+    # `import numpy` in algebra.py raised it by 0.5 MB in every child,
+    # although geometry imports numpy too.  So algebra imports it inside the
+    # one function that calls np.roots.
+    path = Path(critfin.__file__).parent / "algebra.py"
+    module = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    top_level = []
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            top_level += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            top_level.append(node.module)
+    assert top_level and not [m for m in top_level if m == "numpy" or m.startswith("numpy.")]
+
+
+def test_candidate_roots_take_complex_coefficients(monkeypatch):
+    # real coefficients send np.roots to LAPACK's dgeev, complex ones to the
+    # zgeev the geometry layer loads anyway; loading dgeev as well raised the
+    # same children's peak RSS by 0.5 MB
+    import numpy as np
+
+    from critfin.algebra import factor, poly_parse
+
+    dtypes = []
+    roots = np.roots
+
+    def record(coeffs):
+        dtypes.append(np.asarray(coeffs).dtype)
+        return roots(coeffs)
+
+    monkeypatch.setattr(np, "roots", record)
+    p = poly_parse("(z - w)*(2*z + 3*w)*(z^2 - 2*w^2)*(z^2 + w^2)*(z^3 - 5*w^3)", 2)
+    assert factor(p).reassemble() == p
+    assert dtypes and all(dt.kind == "c" for dt in dtypes)

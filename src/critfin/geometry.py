@@ -17,26 +17,29 @@ The two geometric workhorses:
   irreducibility).
 * ``solve_form_pair`` intersects two coprime ternary forms by projecting
   from a point off both curves (deterministic retry ladder), eliminating via
-  a resultant, and splitting fibers exactly over Q where possible and by
-  polished floating roots otherwise.  ``solve_form_pair_inexact`` runs the
-  same ladder and splitter on forms with floating coefficients.
+  a resultant, and reading the one point on each fiber: exactly over Q on
+  a rational direction, and by a Newton-polished subresultant root on a
+  floating one.  ``solve_form_pair_inexact`` runs the same ladder and
+  splitter on forms with floating coefficients.
 
 Forms reach sympy through ``algebra.to_ring`` only; ``curve_image`` reduces
 in that grevlex ring.  The exact path stays on sympy's dense domains and
 never builds a sympy expression: the t-eliminant is the subresultant-PRS
 resultant of two dense univariates in t over ZZ[z, w] (denominators cleared,
 then divided back out), and an exact fiber is the dense gcd over QQ of two
-univariates.  Newton polishing evaluates complex terms prepared once per
-projection center, in each form's own term order and with ``evaluate``'s
-per-term arithmetic, so every float comes out bit for bit as from
-``evaluate``.
+univariates, which must be c * (t - tau)^m.  A floating fiber, in either
+engine, takes tau = -s0/s1 from the first subresultant s1*t + s0 of its two
+univariates: two determinants of a matrix from ``_sylvester``, which also
+builds the floating engine's Sylvester matrices.  Newton polishing
+evaluates complex terms prepared once per projection center, in each form's
+own term order and with ``HomogPoly.evaluate``'s per-term arithmetic, and
+stops once its step is rounding noise.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, sqrt
@@ -45,7 +48,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_gcd, dup_resultant
-from sympy.polys.factortools import dup_factor_list
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
@@ -528,14 +530,13 @@ def _complex_terms(p) -> list[tuple[tuple[int, ...], complex]]:
     return [(expo, complex(c)) for expo, c in p.terms.items()]
 
 
-def _evaluate_terms(terms, powers, acc=None) -> complex:
-    """Sum of prepared terms at a point, term by term as ``evaluate`` does.
+def _evaluate_terms(terms, powers) -> complex:
+    """Sum of prepared terms at a point, term by term as ``HomogPoly.evaluate`` does.
 
-    ``powers[i][e]`` is ``coords[i] ** e``, computed once per point.
-    ``acc=None`` starts the sum at the first term (``HomogPoly.evaluate``);
-    ``acc=0j`` adds every term to 0j (``InexactForm.evaluate``).  The two
-    differ only in the sign of a zero, which the reports print.
+    ``powers[i][e]`` is ``coords[i] ** e``, computed once per point.  The sum
+    starts at the first term.
     """
+    acc = None
     for expo, c in terms:
         term = c
         for pw, e in zip(powers, expo):
@@ -558,32 +559,19 @@ def _fiber_coeffs(terms, deg: int, z0, w0) -> list:
     return coeffs
 
 
-def _common_roots(
-    pa: list[Fraction], pb: list[Fraction], cfg: Config
-) -> list[tuple[object, bool]]:
-    """Roots of gcd(pa, pb) over Q (descending, nonzero leading coeffs): (value, is_exact)."""
-    qa = [QQ(c.numerator, c.denominator) for c in pa]
-    qb = [QQ(c.numerator, c.denominator) for c in pb]
-    out: list[tuple[object, bool]] = []
-    for base, _m in dup_factor_list(dup_gcd(qa, qb, QQ), QQ)[1]:
-        if len(base) == 2:
-            c1, c0 = base
-            out.append((to_fraction(-c0 / c1), True))
-        else:
-            coeffs = [to_fraction(v) for v in base]
-            out.extend((root, False) for root in _irrational_roots(coeffs, cfg))
-    return out
+#: a Newton step within four units in the last place of the iterate is
+#: rounding noise: the iterate has converged
+_NEWTON_STOP = 4 * 2.0**-52
 
 
 class _NewtonSystem:
     """A form pair and all its partials as prepared complex terms.
 
     Built once per projection center, then shared by its floating fibers and
-    every Newton polish there.  ``start`` picks the summation of the forms'
-    own ``evaluate``.
+    every Newton polish there.
     """
 
-    __slots__ = ("forms", "partials", "start", "degree")
+    __slots__ = ("forms", "partials", "degree")
 
     def __init__(self, A, B):
         self.degree = max(A.degree, B.degree)
@@ -591,7 +579,6 @@ class _NewtonSystem:
         self.partials = tuple(
             tuple(_complex_terms(p.partial(i)) for i in range(3)) for p in (A, B)
         )
-        self.start = None if isinstance(A, HomogPoly) else 0j
 
 
 def _newton_system(
@@ -599,10 +586,8 @@ def _newton_system(
 ) -> tuple[complex, complex, complex]:
     """Polish a root of the system {A = B = 0} in the chart of its largest coord.
 
-    Each step is a function of the iterate alone.  So once an iterate
-    repeats bit for bit, the steps since its first visit recur to the end
-    without stopping, and the iterate the full loop would end on is read
-    off that cycle.
+    Stops at a singular jacobian, after ``newton_max_steps`` steps, or once
+    a step is within ``_NEWTON_STOP`` of the iterate.
     """
     coords = list(start)
     mags = [abs(c) for c in coords]
@@ -613,25 +598,15 @@ def _newton_system(
     ta, tb = system.forms
     pa = [system.partials[0][i] for i in free]
     pb = [system.partials[1][i] for i in free]
-    acc = system.start
     exponents = range(system.degree + 1)
-    seen: dict[bytes, int] = {}
-    trail: list[tuple[complex, ...]] = []
-    for step in range(cfg.newton_max_steps):
-        # bytes, not floats: 0.0 == -0.0, yet the sign of a zero can reach the output
-        key = struct.pack("6d", *(v for c in coords for v in (c.real, c.imag)))
-        if key in seen:
-            first = seen[key]
-            return trail[first + (cfg.newton_max_steps - first) % (step - first)]
-        seen[key] = step
-        trail.append(tuple(coords))
+    for _ in range(cfg.newton_max_steps):
         powers = [[v**e for e in exponents] for v in coords]
-        fa = _evaluate_terms(ta, powers, acc)
-        fb = _evaluate_terms(tb, powers, acc)
-        j00 = _evaluate_terms(pa[0], powers, acc)
-        j01 = _evaluate_terms(pa[1], powers, acc)
-        j10 = _evaluate_terms(pb[0], powers, acc)
-        j11 = _evaluate_terms(pb[1], powers, acc)
+        fa = _evaluate_terms(ta, powers)
+        fb = _evaluate_terms(tb, powers)
+        j00 = _evaluate_terms(pa[0], powers)
+        j01 = _evaluate_terms(pa[1], powers)
+        j10 = _evaluate_terms(pb[0], powers)
+        j11 = _evaluate_terms(pb[1], powers)
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-300:
             break
@@ -639,7 +614,7 @@ def _newton_system(
         dv = (fb * j00 - fa * j10) / det
         coords[free[0]] -= du
         coords[free[1]] -= dv
-        if max(abs(du), abs(dv)) <= 1e-16 * max(1.0, abs(coords[free[0]]), abs(coords[free[1]])):
+        if max(abs(du), abs(dv)) <= _NEWTON_STOP * max(1.0, abs(coords[free[0]]), abs(coords[free[1]])):
             break
     return tuple(coords)  # type: ignore[return-value]
 
@@ -750,76 +725,78 @@ def _projection_ladder(
 def _split_fibers(
     As, Bs, directions: list[tuple[ProjPoint, int]], a: int, b: int, cfg: Config
 ) -> list[tuple[ProjPoint, int]] | None:
-    """The one intersection point on each direction, or None for a bad center."""
+    """The one intersection point on each direction, or None for a bad center.
+
+    An exact direction reads its fiber root exactly off the gcd over Q; a
+    floating one reads it off the first subresultant and Newton polishes it
+    on the system.
+    """
     results: list[tuple[ProjPoint, int]] = []
     system = None  # prepared complex terms, built at the first floating fiber
     for direction, mult in directions:
         if direction.exact:
             z0, w0 = direction.coords
-            terms, common_roots = (As.terms.items(), Bs.terms.items()), _common_roots
+            terms, fiber_root = (As.terms.items(), Bs.terms.items()), _exact_fiber_root
         else:
             z0, w0 = direction.to_complex()
             if system is None:
                 system = _NewtonSystem(As, Bs)
-            terms, common_roots = system.forms, _match_numeric_fiber
-        pa, pb = (_fiber_coeffs(t, p.degree, z0, w0) for t, p in zip(terms, (As, Bs)))
-        points: list[ProjPoint] = []
-        for tau, tau_exact in common_roots(pa, pb, cfg):
-            # solutions live in the shifted frame; the original coordinates
-            # are (z' + a t', w' + b t', t'); only an exact direction has
-            # exact roots
-            if tau_exact:
-                points.append(ProjPoint.exact_point([z0 + a * tau, w0 + b * tau, tau]))
-                continue
-            if system is None:
-                system = _NewtonSystem(As, Bs)
-            polished = _newton_system(system, (complex(z0), complex(w0), complex(tau)), cfg)
-            back = (
-                polished[0] + a * polished[2],
-                polished[1] + b * polished[2],
-                polished[2],
-            )
-            points.append(ProjPoint.inexact(back))
-        # dedupe within the fiber; a clean projection leaves exactly one point
-        unique: list[ProjPoint] = []
-        for pt in points:
-            if not any(pt.is_close(u, cfg.cluster_tol) for u in unique):
-                unique.append(pt)
-        if len(unique) != 1:
+            terms, fiber_root = system.forms, _float_fiber_root
+        tau = fiber_root(*(_fiber_coeffs(t, p.degree, z0, w0) for t, p in zip(terms, (As, Bs))))
+        if tau is None:
             return None
+        # solutions live in the shifted frame; the original coordinates are
+        # (z' + a t', w' + b t', t')
+        if direction.exact:
+            point = ProjPoint.exact_point([z0 + a * tau, w0 + b * tau, tau])
+        else:
+            z, w, t = _newton_system(system, (z0, w0, tau), cfg)
+            point = ProjPoint.inexact([z + a * t, w + b * t, t])
         # distinct directions carry distinct points: a repeat means one
         # direction is spurious and a true intersection point went missing
-        if any(unique[0].is_close(pt, cfg.cluster_tol) for pt, _ in results):
+        if any(point.is_close(pt, cfg.cluster_tol) for pt, _ in results):
             return None
-        results.append((unique[0], mult))
+        results.append((point, mult))
     return results
 
 
-def _match_numeric_fiber(
-    pa: list[complex], pb: list[complex], cfg: Config
-) -> list[tuple[complex, bool]]:
-    """Common roots of two floating univariates, paired within a loose gate."""
-    ra = np.roots(_strip_tiny_leading(pa))
-    rb = np.roots(_strip_tiny_leading(pb))
-    gate = 1e-5
-    cands: list[complex] = []
-    for x in ra:
-        if rb.size and min(abs(rb - x)) < gate * max(1.0, abs(x)):
-            cands.append(complex(x))
-    out: list[tuple[complex, bool]] = []
-    for x in cands:
-        if not any(abs(x - y) <= cfg.cluster_tol * max(1.0, abs(x)) for y, _ in out):
-            out.append((x, False))
-    return out
+def _exact_fiber_root(pa: list[Fraction], pb: list[Fraction]) -> Fraction | None:
+    """The one common root of two rational univariates (descending), or None.
+
+    Their gcd over Q must be c * (t - tau)^m, which gives tau exactly for any
+    multiplicity m and without factoring.
+    """
+    g = dup_gcd(*([QQ(c.numerator, c.denominator) for c in p] for p in (pa, pb)), QQ)
+    m = len(g) - 1
+    if m < 1:
+        return None
+    tau = -g[1] / (m * g[0])
+    if any(c != g[0] * comb(m, i) * (-tau) ** i for i, c in enumerate(g)):
+        return None
+    return to_fraction(tau)
 
 
-def _strip_tiny_leading(coeffs: list[complex]) -> list[complex]:
-    top = max(abs(c) for c in coeffs)
-    vals = [c / top for c in coeffs]
-    i = 0
-    while i < len(vals) - 1 and abs(vals[i]) < 1e-13:
-        i += 1
-    return vals[i:]
+#: the first subresultant's leading coefficient s1 below this share of its
+#: Hadamard bound means the univariates share two roots, or a double one
+_SUBRESULTANT_GATE = 1e-11
+
+
+def _float_fiber_root(pa: list[complex], pb: list[complex]) -> complex | None:
+    """The one common root of two floating univariates (descending), or None.
+
+    It is -s0/s1 for their first subresultant s1*t + s0, whose coefficients
+    are two maximal minors of ``_sylvester(pa, pb, 1)``; two linear
+    univariates are their own first subresultant.
+    """
+    M = _sylvester(pa, pb, 1)
+    if not M.size:
+        s1, s0 = pa
+    else:
+        S1 = M[:, :-1]
+        s1, s0 = np.linalg.det(S1), np.linalg.det(np.delete(M, -2, axis=1))
+        if abs(s1) < _SUBRESULTANT_GATE * np.prod(np.linalg.norm(S1, axis=1)):
+            return None
+    return complex(-s0 / s1)
 
 
 def curve_intersect(
@@ -867,10 +844,10 @@ class InexactForm:
     Arises when a form pair is assembled from floating scalars (backward
     fibers over any floating point, real or complex), where the rational
     elimination pipeline cannot run.  Quacks enough like ``HomogPoly``
-    (``terms``, ``degree``, ``evaluate``, ``partial``) for the shared
-    projection ladder, fiber splitter and Newton polish above to work
-    unchanged; exact factorization is of course unavailable, so roots and
-    their multiplicities come from clustering instead.
+    (``terms``, ``degree``, ``partial``) for the shared projection ladder,
+    fiber splitter and Newton polish above to work unchanged; exact
+    factorization is of course unavailable, so roots and their
+    multiplicities come from clustering instead.
     """
 
     __slots__ = ("num_vars", "terms", "degree")
@@ -901,16 +878,6 @@ class InexactForm:
             raise DegenerateEliminationError("scalar combination vanished identically")
         kept = {e: v / top for e, v in terms.items() if abs(v) > 1e-14 * top}
         return cls(p.num_vars, kept, p.degree)
-
-    def evaluate(self, coords: Sequence) -> complex:
-        total = 0j
-        for expo, c in self.terms.items():
-            term = c
-            for x, e in zip(coords, expo):
-                if e:
-                    term *= complex(x) ** e
-            total += term
-        return total
 
     def partial(self, var: int) -> "InexactForm":
         terms: dict[tuple, complex] = {}
@@ -943,15 +910,20 @@ def _shift_inexact(p: InexactForm, a: int, b: int) -> InexactForm:
     return InexactForm(3, kept, p.degree)
 
 
-def _sylvester_det(pa: list[complex], pb: list[complex]) -> complex:
+def _sylvester(pa: list[complex], pb: list[complex], j: int) -> np.ndarray:
+    """The matrix of the j-th subresultant of pa and pb (descending).
+
+    Rows are the coefficients of t^i * pa for i < deg(pb) - j and of
+    t^i * pb for i < deg(pa) - j, highest shift first, over the
+    deg(pa) + deg(pb) - j powers of t; j = 0 gives the Sylvester matrix.
+    """
     da, db = len(pa) - 1, len(pb) - 1
-    n = da + db
-    M = np.zeros((n, n), dtype=complex)
-    for r in range(db):
+    M = np.zeros((da + db - 2 * j, da + db - j), dtype=complex)
+    for r in range(db - j):
         M[r, r : r + da + 1] = pa
-    for r in range(da):
-        M[db + r, r : r + db + 1] = pb
-    return complex(np.linalg.det(M))
+    for r in range(da - j):
+        M[db - j + r, r : r + db + 1] = pb
+    return M
 
 
 def _interp_resultant_t(As: InexactForm, Bs: InexactForm) -> np.ndarray:
@@ -966,9 +938,12 @@ def _interp_resultant_t(As: InexactForm, Bs: InexactForm) -> np.ndarray:
     ta, tb = _complex_terms(As), _complex_terms(Bs)
     vals = np.array(
         [
-            _sylvester_det(
-                _fiber_coeffs(ta, As.degree, complex(z0), 1.0),
-                _fiber_coeffs(tb, Bs.degree, complex(z0), 1.0),
+            np.linalg.det(
+                _sylvester(
+                    _fiber_coeffs(ta, As.degree, complex(z0), 1.0),
+                    _fiber_coeffs(tb, Bs.degree, complex(z0), 1.0),
+                    0,
+                )
             )
             for z0 in samples
         ]

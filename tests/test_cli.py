@@ -347,17 +347,19 @@ def test_solver_shortfall_exits_4(monkeypatch, capsys):
     assert "solver" in capsys.readouterr().err
 
 
-#: SHA-256 of outputs recorded before exact elimination moved onto sympy's
-#: dense domains; every float in them (Newton polish, complex fibers,
+#: SHA-256 of outputs whose every float (Newton polish, complex fibers,
 #: floating roots) must come back bit for bit.  The report digests are of
-#: schema-version-2 reports.
+#: schema-version-2 reports.  The plane entries of f, power and g3 were
+#: re-recorded when floating fibers came to be read off the first
+#: subresultant and Newton came to stop at rounding noise: their floating
+#: points moved in the last bits only.
 ELIMINATION_DIGESTS = {
-    "analyze f": "84baee3f1b9273769d74f1776bfc4a582ddec959fb83b9ee1f9799898bc51606",
-    "analyze power": "d52da19a86fd3ce0f080d7f280a4f9686fb8af4db3e4951d633f9fb23e33249e",
-    "certify f 2,3,5 3": "17898588c6040884ed9e23ebc2c2f94a01c6e47ca4c8ef076be067542cfe9489",
+    "analyze f": "fa558425f1885549f73dec111d61d76c81c07b0e52b793c4f8ef15a3155aed60",
+    "analyze power": "bbe134f467706afd11098b05138761a2212409465ea71c39cb0de278b0473be2",
+    "certify f 2,3,5 3": "b01ff2469f4ea01dec8fd52ff46ff5f1b53096f50cb8c999c7e0f99ecdeb9eff",
     "analyze lattes4": "b6ba80127e728d4694c54ba9b53381c27fea6ccdce2209128571c176ca193693",
     "certify lattes4 1,3 4": "9cc1ddfb26ebaedfd13ba050b519972904a6a9892830ef97814d77f82133d11e",
-    "certify g3 1,2,3 2": "6a57ee684c872793645a9035f25a83680dc29fea70b719afdc68b2b9e6d2964f",
+    "certify g3 1,2,3 2": "dfb2f5ceed87b0529e1935989864f26e2c4875e63655b431e3e4bb698a956843",
     "certify f 0,1,1 2": "89a352a09ac804a096ca0313ca5f9d49f2b93bf90d614876bb53be874762969a",
 }
 

@@ -16,6 +16,7 @@ from critfin.algebra import (
     poly_parse,
     to_fraction,
 )
+from critfin import geometry
 from critfin.config import Config
 from critfin.errors import BudgetError, InputError, SolverError
 from critfin.geometry import (
@@ -24,14 +25,13 @@ from critfin.geometry import (
     InexactForm,
     Membership,
     ProjPoint,
-    _coeff_floats,
-    _common_roots,
     _evaluate_terms,
     _exact_directions,
+    _exact_fiber_root,
+    _float_fiber_root,
     _PROJECTION_SHIFTS,
     _NewtonSystem,
     _newton_system,
-    _polish_univariate,
     _resultant_t,
     _shift_form,
     _split_fibers,
@@ -520,6 +520,12 @@ def test_split_fibers_refuses_two_directions_with_one_point():
     assert _split_fibers(A, B, [(true_dir, 1)], 0, 0, cfg) == [(point, 1)]
     spurious = ProjPoint.inexact([1 + 1e-9, 1.0])
     assert _split_fibers(A, B, [(true_dir, 1), (spurious, 1)], 0, 0, cfg) is None
+    # an exact direction whose fiber holds two points, [1 : 1 : +-1], is
+    # refused too, and one whose fiber holds one double point is read exactly
+    A, B = poly_parse("t^2 - z^2", 3), poly_parse("t^2 - w^2", 3)
+    assert _split_fibers(A, B, [(true_dir, 4)], 0, 0, cfg) is None
+    A, B = poly_parse("(t - z)^2", 3), poly_parse("(t - w)*(t - z)", 3)
+    assert _split_fibers(A, B, [(true_dir, 3)], 0, 0, cfg) == [(point, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -534,21 +540,17 @@ def _expression_resultant_t(A, B):
     return from_sympy(sp.Poly(res, zs, ws, domain="QQ"), 2)
 
 
-def _expression_common_roots(pa, pb, cfg):
-    """Roots of gcd(pa, pb) through ``sp.gcd`` on Polys (the oracle)."""
+def _expression_fiber_root(pa, pb):
+    """The one distinct root of gcd(pa, pb), through ``sp.gcd`` and
+    ``factor_list`` on Polys (the oracle), or None when it has no root or
+    more than one."""
     ts = sp.Symbol("t")
     g = sp.gcd(sp.Poly(pa, ts, domain="QQ"), sp.Poly(pb, ts, domain="QQ"))
-    poly = sp.Poly([to_fraction(v) for v in g.all_coeffs()], ts, domain="QQ")
-    out = []
-    for base, _m in poly.factor_list()[1]:
-        if base.degree() == 1:
-            c1, c0 = base.all_coeffs()
-            out.append((to_fraction(sp.Rational(-c0, c1)), True))
-        else:
-            fl = _coeff_floats([to_fraction(v) for v in base.all_coeffs()])
-            for r in np.roots(fl):
-                out.append((_polish_univariate(fl, complex(r), cfg.newton_max_steps), False))
-    return out
+    bases = [base for base, _m in g.factor_list()[1]]
+    if len(bases) != 1 or bases[0].degree() != 1:
+        return None
+    c1, c0 = bases[0].all_coeffs()
+    return to_fraction(sp.Rational(-c0, c1))
 
 
 def _random_ternary(rng, degree, t_lead):
@@ -605,33 +607,73 @@ def test_resultant_t_matches_the_expression_route_on_fixed_point_minors(forms, c
     assert nonzero >= 1
 
 
-def test_fiber_gcd_roots_match_the_expression_route():
+def _times(p, q):
+    out = [0 * p[0]] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_exact_fiber_root_matches_the_expression_route():
     rng = random.Random(89)
-    cfg = Config()
 
     def rand_poly(deg):
         coeffs = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5])) for _ in range(deg + 1)]
         coeffs[0] = coeffs[0] or Fraction(1)
         return coeffs
 
-    def times(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
-    floating = 0
+    outcomes = {"root": 0, "none": 0}
     for _ in range(200):
         common = rand_poly(rng.randint(0, 3))
-        pa = times(common, rand_poly(rng.randint(0, 3)))
-        pb = times(common, rand_poly(rng.randint(0, 3)))
-        got = _common_roots(pa, pb, cfg)
-        want = _expression_common_roots(pa, pb, cfg)
-        # repr tells the sign of a zero apart, so the floats match bit for bit
-        assert [(repr(v), e) for v, e in got] == [(repr(v), e) for v, e in want]
-        floating += any(not e for _, e in got)
-    assert floating >= 10
+        pa = _times(common, rand_poly(rng.randint(0, 3)))
+        pb = _times(common, rand_poly(rng.randint(0, 3)))
+        want = _expression_fiber_root(pa, pb)
+        assert _exact_fiber_root(pa, pb) == want
+        outcomes["none" if want is None else "root"] += 1
+    assert min(outcomes.values()) >= 30
+    # a common factor (q t - p)^m: one root of multiplicity m, read exactly
+    for _ in range(20):
+        root = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5]))
+        common = [Fraction(1)]
+        for _ in range(rng.randint(2, 3)):
+            common = _times(common, [root.denominator, -root.numerator])
+        pa = _times(common, rand_poly(rng.randint(0, 2)))
+        pb = _times(common, rand_poly(rng.randint(0, 2)))
+        want = _expression_fiber_root(pa, pb)
+        assert want == root and _exact_fiber_root(pa, pb) == root
+
+
+def _complex_poly(rng, deg):
+    return [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
+
+
+def test_float_fiber_root_reads_one_shared_root():
+    rng = random.Random(1503)
+    for _ in range(200):
+        root = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        pa = _times([1, -root], _complex_poly(rng, rng.randint(0, 3)))
+        pb = _times([1, -root], _complex_poly(rng, rng.randint(0, 3)))
+        got = _float_fiber_root(pa, pb)
+        assert got is not None and abs(got - root) <= 1e-9 * max(1.0, abs(root))
+
+
+def test_float_fiber_root_refuses_two_shared_roots():
+    rng = random.Random(1504)
+    for double in (False, True) * 50:
+        r1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        r2 = r1 if double else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        common = _times([1, -r1], [1, -r2])
+        pa = _times(common, _complex_poly(rng, rng.randint(0, 2)))
+        pb = _times(common, _complex_poly(rng, rng.randint(0, 2)))
+        assert _float_fiber_root(pa, pb) is None
+
+
+def test_float_fiber_root_takes_a_linear_univariate():
+    # 2t - 3 against a quadratic through its root, and against 4t - 6
+    assert _float_fiber_root([2, -3], [1, -2.5, 1.5]) == pytest.approx(1.5, abs=1e-15)
+    assert _float_fiber_root([1, -2.5, 1.5], [2, -3]) == pytest.approx(1.5, abs=1e-15)
+    assert _float_fiber_root([2, -3], [4, -6]) == 1.5
 
 
 def test_solve_form_pair_builds_no_expressions(monkeypatch):
@@ -651,16 +693,10 @@ def test_solve_form_pair_builds_no_expressions(monkeypatch):
 
 
 def test_prepared_terms_evaluate_bit_for_bit():
-    # each form family keeps its own summation: HomogPoly.evaluate starts at
-    # the first term, InexactForm.evaluate at 0j, and the two differ in the
-    # sign of a zero at the first two points
+    # the sum starts at the first term, as HomogPoly.evaluate's does: a sum
+    # started at 0j would differ in the sign of a zero at the first two points
     rng = random.Random(97)
-    forms = [
-        poly_parse("2*z", 3),
-        _random_ternary(rng, 3, t_lead=True),
-        InexactForm(3, {(1, 0, 0): complex(2.0, -0.0)}, 1),
-        InexactForm.combination(0.3 - 0.2j, F_FORMS[0], 1.5, F_FORMS[1]),
-    ]
+    forms = [poly_parse("2*z", 3), _random_ternary(rng, 3, t_lead=True)]
     points = [(complex(-1.0, -0.0), 0j, 0j), (complex(1.0, -0.0), 0j, 0j)]
     points += [tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)) for _ in range(20)]
     for form in forms:
@@ -670,16 +706,13 @@ def test_prepared_terms_evaluate_bit_for_bit():
         for pt in points:
             powers = [[v**e for e in range(system.degree + 1)] for v in pt]
             for terms, ref in pairs:
-                got = _evaluate_terms(terms, powers, system.start)
+                got = _evaluate_terms(terms, powers)
                 assert repr(got) == repr(complex(ref.evaluate(pt)))
 
 
 def _plain_newton_system(system, start, cfg):
-    """``_newton_system`` without its cycle jump: every step up to the cap.
-
-    Also says whether an iterate came back bit for bit (repr tells the sign
-    of a zero apart).
-    """
+    """``_newton_system`` with the stop it had before: every step until one
+    falls below 1e-16 of the iterate, which rounding noise rarely does."""
     coords = list(start)
     mags = [abs(c) for c in coords]
     chart = mags.index(max(mags))
@@ -689,18 +722,15 @@ def _plain_newton_system(system, start, cfg):
     ta, tb = system.forms
     pa = [system.partials[0][i] for i in free]
     pb = [system.partials[1][i] for i in free]
-    acc = system.start
     exponents = range(system.degree + 1)
-    seen = []
     for _ in range(cfg.newton_max_steps):
-        seen.append(repr(coords))
         powers = [[v**e for e in exponents] for v in coords]
-        fa = _evaluate_terms(ta, powers, acc)
-        fb = _evaluate_terms(tb, powers, acc)
-        j00 = _evaluate_terms(pa[0], powers, acc)
-        j01 = _evaluate_terms(pa[1], powers, acc)
-        j10 = _evaluate_terms(pb[0], powers, acc)
-        j11 = _evaluate_terms(pb[1], powers, acc)
+        fa = _evaluate_terms(ta, powers)
+        fb = _evaluate_terms(tb, powers)
+        j00 = _evaluate_terms(pa[0], powers)
+        j01 = _evaluate_terms(pa[1], powers)
+        j10 = _evaluate_terms(pb[0], powers)
+        j11 = _evaluate_terms(pb[1], powers)
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-300:
             break
@@ -710,21 +740,27 @@ def _plain_newton_system(system, start, cfg):
         coords[free[1]] -= dv
         if max(abs(du), abs(dv)) <= 1e-16 * max(1.0, abs(coords[free[0]]), abs(coords[free[1]])):
             break
-    return tuple(coords), len(set(seen)) < len(seen)
+    return tuple(coords)
 
 
-def test_newton_cycle_jump_ends_where_the_plain_loop_does():
+def test_newton_stops_within_a_few_steps_at_the_fixed_point(monkeypatch):
     # seeded starts near the fixed points [u : v : 1] of power^2 with u^3 =
-    # v^3 = 1, at four projection centres: near an irrational root the
-    # iterates settle into a cycle of rounding noise, and the jump must land
-    # on the plain loop's last iterate bit for bit
+    # v^3 = 1, at four projection centres: each call stops once its step is
+    # rounding noise, as close to the fixed point as the plain loop gets
     cfg = Config()
     rng = random.Random(1405)
     x = [HomogPoly.variable(3, i) for i in range(3)]
     forms = [p.compose(POWER_FORMS) for p in POWER_FORMS]
     minors = [forms[i] * x[j] - forms[j] * x[i] for i, j in [(0, 1), (0, 2), (1, 2)]]
     omega = cmath.exp(2j * cmath.pi / 3)
-    cycled = 0
+    evaluations = []
+    counted = geometry._evaluate_terms
+
+    def count(terms, powers):
+        evaluations.append(1)
+        return counted(terms, powers)
+
+    calls = 0
     for A, B in itertools.combinations(minors, 2):
         for a, b in _PROJECTION_SHIFTS[:4]:
             system = _NewtonSystem(_shift_form(A, a, b), _shift_form(B, a, b))
@@ -732,7 +768,15 @@ def test_newton_cycle_jump_ends_where_the_plain_loop_does():
                 u, v = omega ** rng.randrange(3), omega ** rng.randrange(3)
                 noise = [complex(rng.gauss(0, 1e-6), rng.gauss(0, 1e-6)) for _ in range(3)]
                 start = tuple(c + n for c, n in zip((u - a, v - b, 1), noise))
-                want, repeated = _plain_newton_system(system, start, cfg)
-                assert repr(_newton_system(system, start, cfg)) == repr(want)
-                cycled += repeated
-    assert cycled >= 10
+                exact = ProjPoint.inexact([u - a, v - b, 1])
+                plain = ProjPoint.inexact(_plain_newton_system(system, start, cfg))
+                evaluations.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(geometry, "_evaluate_terms", count)
+                    got = ProjPoint.inexact(_newton_system(system, start, cfg))
+                # six evaluations (two forms, four partials) per step
+                assert len(evaluations) <= 6 * 12
+                assert got.chordal(exact) <= 1e-14
+                assert plain.chordal(exact) <= 1e-14
+                calls += 1
+    assert calls == 120

@@ -37,6 +37,10 @@ def test_src_reaches_sympy_only_through_sympy_polys():
     sympy = [(name, mod) for name, mod in imported if mod == "sympy" or mod.startswith("sympy.")]
     assert {name for name, _ in sympy} >= {"algebra.py", "geometry.py"}
     assert [(name, mod) for name, mod in sympy if not (mod + ".").startswith("sympy.polys.")] == []
+    # geometry reads a fiber's root off a gcd or a subresultant: it factors
+    # no fiber, and keeps no bit-for-bit replay of floating iterates
+    geometry = {mod for name, mod in imported if name == "geometry.py"}
+    assert "sympy.polys.factortools" not in geometry and "struct" not in geometry
 
 
 def test_algebra_imports_numpy_only_where_it_proposes_roots():

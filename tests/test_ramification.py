@@ -113,6 +113,20 @@ def test_totally_ramified_fiber_collapses_to_a_chain():
     assert tree.weighted_leaf_count() == 16
 
 
+def test_fiber_over_a_critical_value_keeps_its_double_points():
+    # [0 : 1 : 2] lies on the critical value line z = 0: its fiber is the
+    # two double points [0 : +-2^(-1/2) : 1], each on a direction whose
+    # irrational fiber must be read without factoring
+    tree = preimage_tree(power_map(), pt(0, 1, 2), depth=1)
+    level = tree.level(1)
+    assert [n.multiplicity for n in level] == [2, 2]
+    roots = sorted(n.point.to_complex()[1].real for n in level)
+    assert roots == pytest.approx([-(2**-0.5), 2**-0.5], abs=1e-15)
+    for n in level:
+        assert abs(n.point.to_complex()[0]) <= 1e-15
+        assert power_map()(n.point).chordal(pt(0, 1, 2)) <= 1e-16
+
+
 def test_quadratic_fiber_is_plus_minus_root_three():
     tree = preimage_tree(quad_map(), pt(1, 1), depth=1)
     ratios = sorted(

@@ -9,11 +9,12 @@ The heavy ring operations (gcd, square-free decomposition, irreducible
 factorization over Q, characteristic polynomials) are delegated to
 ``sympy.polys``; this module owns the representation, the parser, the normal
 form, the resultant, and the linear and quadratic factors of binary forms,
-which it splits off before Zassenhaus sees the rest.  The resultant takes
-one route for binary and ternary forms: Macaulay's quotient det M / det M',
-read off the characteristic polynomials of M and M' so that a singular minor
-M' needs no separate fallback (for binary forms M is the Sylvester matrix
-and M' is empty).
+which it splits off before Zassenhaus sees the rest; a binary form's
+repeated factors come out before its simple part is factored at all.  The
+resultant takes one route for binary and ternary forms: Macaulay's quotient
+det M / det M', read off the characteristic polynomials of M and M' so that
+a singular minor M' needs no separate fallback (for binary forms M is the
+Sylvester matrix and M' is empty).
 
 This is the package's one bridge to sympy, and it reaches only
 ``sympy.polys``: ``to_ring`` gives a form's element of the grevlex ring
@@ -28,7 +29,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, isqrt, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from sympy.polys.densearith import dup_div
 from sympy.polys.domains import QQ, ZZ
@@ -592,6 +593,17 @@ class Factorization:
     unit: Fraction
     factors: tuple[tuple[HomogPoly, int], ...]
 
+    @classmethod
+    def of(cls, p: HomogPoly, pairs: Iterable[tuple[HomogPoly, int]]) -> "Factorization":
+        """The factorization of p from its irreducible factors, in any order."""
+        # a constant base is content, which the unit absorbs
+        bases = [(q, mult) for q, mult in ((b.normalized(), m) for b, m in pairs) if q.degree]
+        bases.sort(key=lambda bm: (bm[0].degree, bm[0].sort_key()))
+        lc_product = Fraction(1)
+        for base, mult in bases:
+            lc_product *= base.leading_term()[1] ** mult
+        return cls(unit=p.leading_term()[1] / lc_product, factors=tuple(bases))
+
     def reassemble(self) -> HomogPoly:
         acc = HomogPoly.constant(self.num_vars, self.unit)
         for base, mult in self.factors:
@@ -740,26 +752,29 @@ def _split_low_degree(f: list[int]) -> list[list[int]]:
     return found
 
 
-def _binary_factor_list(p: HomogPoly) -> list[tuple[HomogPoly, int]]:
-    """Factors of a binary form, from the univariate factoring of p(z, 1).
+def binary_factors(p: HomogPoly) -> Iterator[tuple[HomogPoly, int]]:
+    """The irreducible factors of a binary form with multiplicities: w, then the most repeated.
 
     p(z, 1) drops one degree for each leading zero coefficient of p; that
-    drop is the multiplicity of the factor w (the root at [1 : 0]).  The
-    rest, with denominators cleared, splits into square-free parts over ZZ
-    (``dup_sqf_list``), and each part into irreducibles by
-    ``_split_low_degree``.  Every factor is homogenised back to its own degree.
+    drop is the multiplicity of the factor w (the root at [1 : 0]), which
+    comes first.  The rest, with denominators cleared, has one square-free
+    decomposition over ZZ (``dup_sqf_list``), and its parts follow by
+    descending multiplicity, each split into irreducibles by
+    ``_split_low_degree`` only when the iteration reaches it.  So a caller
+    that stops at the first simple factor has factored only the repeated
+    part of p.  Every factor is homogenised back to its own degree.
     """
     d = p.degree
     _, ints = _clear_denominators(p)
     coeffs = [ints.get((d - j, j), 0) for j in range(d + 1)]
     w_mult = next(j for j, c in enumerate(coeffs) if c)
-    pairs = [(HomogPoly.variable(2, 1), w_mult)] if w_mult else []
-    for part, mult in dup_sqf_list(coeffs[w_mult:], ZZ)[1]:
+    if w_mult:
+        yield HomogPoly.variable(2, 1), w_mult
+    parts = dup_sqf_list(coeffs[w_mult:], ZZ)[1]
+    for part, mult in sorted(parts, key=lambda pm: -pm[1]):
         for base in _split_low_degree(part):
             k = len(base) - 1
-            terms = {(k - j, j): Fraction(c) for j, c in enumerate(base)}
-            pairs.append((HomogPoly(2, terms), int(mult)))
-    return pairs
+            yield HomogPoly(2, {(k - j, j): Fraction(c) for j, c in enumerate(base)}), int(mult)
 
 
 def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
@@ -768,7 +783,7 @@ def factor(p: HomogPoly, cfg: Config | None = None) -> Factorization:
     A binary form is factored through its dehomogenisation p(z, 1) in one
     variable, with the power of w read off the degree drop: linear and
     quadratic factors proposed by floating roots and accepted only by exact
-    division, and Zassenhaus only for what they leave (``_binary_factor_list``).
+    division, and Zassenhaus only for what they leave (``binary_factors``).
     A ternary form is factored as a multivariate polynomial.  The
     factorization over Q is unique and its bases are normalized and sorted,
     so the result does not depend on the route.  Inputs above the configured
@@ -788,21 +803,8 @@ def factor_uncapped(p: HomogPoly) -> Factorization:
     if p.is_zero():
         raise ArityError("cannot factor the zero polynomial")
     if p.num_vars == 2:
-        pairs = _binary_factor_list(p)
-    else:
-        pairs = [(from_ring(base, 3), int(mult)) for base, mult in to_ring(p).factor_list()[1]]
-    bases: list[tuple[HomogPoly, int]] = []
-    for base, mult in pairs:
-        q = base.normalized()
-        if q.degree == 0:
-            continue  # content handled through the unit below
-        bases.append((q, mult))
-    bases.sort(key=lambda bm: (bm[0].degree, bm[0].sort_key()))
-    lc_product = Fraction(1)
-    for base, mult in bases:
-        lc_product *= base.leading_term()[1] ** mult
-    unit = p.leading_term()[1] / lc_product if not p.is_zero() else Fraction(0)
-    return Factorization(unit=unit, factors=tuple(bases))
+        return Factorization.of(p, binary_factors(p))
+    return Factorization.of(p, ((from_ring(b, 3), int(m)) for b, m in to_ring(p).factor_list()[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,14 @@ The two geometric workhorses:
   a resultant, and reading the one point on each fiber: exactly over Q on
   a rational direction, and by a Newton-polished subresultant root on a
   floating one.  ``solve_form_pair_inexact`` runs the same ladder and
-  splitter on forms with floating coefficients.
+  splitter on forms with floating coefficients.  The exact ladder screens
+  a center twice before its expensive work.  A center [a : b : 1] lies on
+  the curve p = 0 iff p(a, b, 1) = 0, the t^d coefficient of the shifted
+  form, so both forms are evaluated there before either is shifted.  And
+  an exact fiber can hold more than one point only over a repeated root of
+  the eliminant, so the fibers over its repeated rational roots are read
+  before the rest of it is factored.  Either screen refuses a center with
+  the reason the full route would give.
 
 Forms reach sympy through ``algebra.to_ring`` only; ``curve_image`` reduces
 in that grevlex ring.  The exact path stays on sympy's dense domains and
@@ -52,8 +59,10 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from .algebra import (
+    Factorization,
     HomogPoly,
     _clear_denominators,
+    binary_factors,
     factor,
     factor_uncapped,
     monomials_of_degree,
@@ -389,7 +398,9 @@ def _polish_univariate(coeffs: list[complex], root: complex, max_steps: int) -> 
     return x
 
 
-def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoint, int]]:
+def binary_roots(
+    p: HomogPoly, cfg: Config | None = None, factors: Iterable[tuple[HomogPoly, int]] | None = None
+) -> list[tuple[ProjPoint, int]]:
     """Projective roots of a binary form with multiplicities.
 
     Rational roots come out exact (from the linear factors of the exact
@@ -398,7 +409,9 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
     higher-degree irreducible factors are floating and Newton-polished.
     ``factor`` finds most factors from floating candidates that it accepts
     only on exact division, but its result is the unique factorization,
-    sorted, so the roots and their order do not depend on that route.
+    sorted, so the roots and their order do not depend on that route.  A
+    caller that holds p's irreducible factors already, in any order, passes
+    them as ``factors``.
     """
     cfg = resolve(cfg)
     if p.num_vars != 2:
@@ -407,17 +420,22 @@ def binary_roots(p: HomogPoly, cfg: Config | None = None) -> list[tuple[ProjPoin
         raise ArityError("zero form has every root")
     # the degree cap guards user-facing factor() calls; internal resultants
     # legitimately reach higher degrees and must still split exactly
+    fac = factor_uncapped(p) if factors is None else Factorization.of(p, factors)
     out: list[tuple[ProjPoint, int]] = []
-    for base, mult in factor_uncapped(p).factors:
-        coeffs = [base.terms.get((base.degree - j, j), Fraction(0)) for j in range(base.degree + 1)]
+    for base, mult in fac.factors:
         if base.degree == 1:
-            a, b = coeffs
-            out.append((ProjPoint.exact_point([-b, a]), mult))
+            out.append((_linear_root(base), mult))
         else:
             # irreducible of degree >= 2 over Q: no roots at (1:0) or (0:1)
+            coeffs = [base.terms.get((base.degree - j, j), Fraction(0)) for j in range(base.degree + 1)]
             roots = _irrational_roots(coeffs, cfg)
             out.extend((ProjPoint.inexact([root, 1.0]), mult) for root in roots)
     return out
+
+
+def _linear_root(base: HomogPoly) -> ProjPoint:
+    """The root [-b : a] of a*z + b*w."""
+    return ProjPoint.exact_point([-base.terms.get((0, 1), 0), base.terms.get((1, 0), 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +675,11 @@ def solve_form_pair(
     down a deterministic ladder until every resultant fiber carries a single
     intersection point (so the fiber multiplicity is attributable); exact
     rational fibers stay exact, floating ones are Newton-polished on the
-    original system and verified against the residual tolerance.
+    original system and verified against the residual tolerance.  A center
+    on either curve is refused before the forms are shifted, and one with an
+    ambiguous fiber over a repeated rational direction before its eliminant
+    is factored in full; the points, and the reasons in the error, are those
+    of the unscreened route.
 
     Raises DegenerateEliminationError when every center fails — in practice
     only for inputs violating the coprimality precondition.
@@ -665,52 +687,88 @@ def solve_form_pair(
     cfg = resolve(cfg)
     if A.num_vars != 3 or B.num_vars != 3:
         raise ArityError("solve_form_pair needs ternary forms")
-    return _projection_ladder(A, B, _shift_form, _on_curve, _exact_directions, cfg)
+    return _projection_ladder(A, B, _exact_center, _exact_directions, cfg)
 
 
-def _on_curve(p: HomogPoly) -> bool:
-    return p.terms.get((0, 0, p.degree)) is None
+def _exact_center(
+    A: HomogPoly, B: HomogPoly, a: int, b: int
+) -> tuple[HomogPoly, HomogPoly] | None:
+    """Both forms shifted to the center [a : b : 1], or None if it lies on either curve.
+
+    The t^d coefficient of p(z + a*t, w + b*t, t) is p(a, b, 1), so the test
+    runs before the shift, in Fractions.
+    """
+    at = (Fraction(a), Fraction(b), Fraction(1))
+    if A.evaluate(at) == 0 or B.evaluate(at) == 0:
+        return None
+    return _shift_form(A, a, b), _shift_form(B, a, b)
+
+
+#: the reason a center fails when one of its fibers holds more than one point
+_AMBIGUOUS = "produced an ambiguous fiber"
 
 
 def _exact_directions(
     As: HomogPoly, Bs: HomogPoly, cfg: Config
-) -> list[tuple[ProjPoint, int]] | None:
-    """Roots of the exact t-resultant, or None if its degree dropped."""
+) -> tuple[list[tuple[ProjPoint, int]], dict[ProjPoint, Fraction]] | str:
+    """Roots of the exact t-resultant R with the fiber roots already read, or why the center fails.
+
+    An exact fiber can fail the c * (t - tau)^m test only over a direction
+    of multiplicity at least two in R: over a simple root of R lies one
+    simple intersection point.  So R's repeated factors come first from
+    ``binary_factors``, the fiber over each rational one is read at once,
+    and a center with an ambiguous one is refused before the rest of R is
+    factored.  A center that passes hands its fiber roots on to
+    ``_split_fibers``.
+    """
     R = _resultant_t(As, Bs)
     if R.is_zero():
         raise DegenerateEliminationError(
             "elimination vanished identically; the forms share a component"
         )
     if R.degree != As.degree * Bs.degree:
-        return None
-    return binary_roots(R, cfg)
+        return "dropped resultant degree"
+    pairs: list[tuple[HomogPoly, int]] = []
+    known: dict[ProjPoint, Fraction] = {}
+    for base, mult in binary_factors(R):
+        pairs.append((base, mult))
+        if mult > 1 and base.degree == 1:
+            direction = _linear_root(base)
+            tau = _exact_fiber(As, Bs, direction)
+            if tau is None:
+                return _AMBIGUOUS
+            known[direction] = tau
+    return binary_roots(R, cfg, pairs), known
 
 
-def _projection_ladder(
-    A, B, shift, on_curve, directions, cfg: Config
-) -> list[tuple[ProjPoint, int]]:
+def _projection_ladder(A, B, center, directions, cfg: Config) -> list[tuple[ProjPoint, int]]:
     """Project from each center of the ladder until the fibers separate.
 
     Shared by both solvers, which pass in what differs at a center: the
-    ``shift`` moving it to [0:0:1], the ``on_curve`` test it must fail for
-    both shifted forms, and the ``directions`` (roots of the t-eliminant, or
-    None when the eliminant lost degree).
+    ``center`` step giving both forms shifted so that it moves to [0:0:1],
+    or None when it lies on or near a curve, and the ``directions`` step
+    giving the roots of the t-eliminant with any fiber roots it has read, or
+    the reason the center fails.  The exact engine's steps refuse a doomed
+    center before the expensive work: a center on a curve is never shifted,
+    and an ambiguous fiber over a repeated rational direction ends the
+    center before its eliminant is factored in full.
     """
     expected = A.degree * B.degree
     failures: list[str] = []
     for a, b in _PROJECTION_SHIFTS[: cfg.max_projection_retries]:
-        As, Bs = shift(A, a, b), shift(B, a, b)
         # the center [0:0:1] must avoid both curves, i.e. full t-degree
-        if on_curve(As) or on_curve(Bs):
+        pair = center(A, B, a, b)
+        if pair is None:
             failures.append(f"center ({a},{b}) lies on or near a curve")
             continue
-        roots = directions(As, Bs, cfg)
-        if roots is None:
-            failures.append(f"center ({a},{b}) dropped resultant degree")
-            continue
-        found = _split_fibers(As, Bs, roots, a, b, cfg)
-        if found is None:
-            failures.append(f"center ({a},{b}) produced an ambiguous fiber")
+        found = directions(*pair, cfg)
+        if not isinstance(found, str):
+            roots, known = found
+            found = _split_fibers(*pair, roots, a, b, cfg, known)
+            if found is None:
+                found = _AMBIGUOUS
+        if isinstance(found, str):
+            failures.append(f"center ({a},{b}) {found}")
             continue
         total = sum(m for _, m in found)
         if total != expected:  # pragma: no cover - structural identity
@@ -723,26 +781,28 @@ def _projection_ladder(
 
 
 def _split_fibers(
-    As, Bs, directions: list[tuple[ProjPoint, int]], a: int, b: int, cfg: Config
+    As, Bs, directions: list[tuple[ProjPoint, int]], a: int, b: int, cfg: Config, known: dict | None = None
 ) -> list[tuple[ProjPoint, int]] | None:
     """The one intersection point on each direction, or None for a bad center.
 
-    An exact direction reads its fiber root exactly off the gcd over Q; a
-    floating one reads it off the first subresultant and Newton polishes it
-    on the system.
+    An exact direction reads its fiber root exactly off the gcd over Q,
+    unless ``known`` already holds it; a floating one reads it off the first
+    subresultant and Newton polishes it on the system.
     """
+    known = known or {}
     results: list[tuple[ProjPoint, int]] = []
     system = None  # prepared complex terms, built at the first floating fiber
     for direction, mult in directions:
         if direction.exact:
             z0, w0 = direction.coords
-            terms, fiber_root = (As.terms.items(), Bs.terms.items()), _exact_fiber_root
+            tau = known[direction] if direction in known else _exact_fiber(As, Bs, direction)
         else:
             z0, w0 = direction.to_complex()
             if system is None:
                 system = _NewtonSystem(As, Bs)
-            terms, fiber_root = system.forms, _float_fiber_root
-        tau = fiber_root(*(_fiber_coeffs(t, p.degree, z0, w0) for t, p in zip(terms, (As, Bs))))
+            tau = _float_fiber_root(
+                *(_fiber_coeffs(t, p.degree, z0, w0) for t, p in zip(system.forms, (As, Bs)))
+            )
         if tau is None:
             return None
         # solutions live in the shifted frame; the original coordinates are
@@ -758,6 +818,12 @@ def _split_fibers(
             return None
         results.append((point, mult))
     return results
+
+
+def _exact_fiber(As: HomogPoly, Bs: HomogPoly, direction: ProjPoint) -> Fraction | None:
+    """The one fiber root over a rational direction, or None."""
+    z0, w0 = direction.coords
+    return _exact_fiber_root(*(_fiber_coeffs(p.terms.items(), p.degree, z0, w0) for p in (As, Bs)))
 
 
 def _exact_fiber_root(pa: list[Fraction], pb: list[Fraction]) -> Fraction | None:
@@ -1018,7 +1084,15 @@ def solve_form_pair_inexact(
     cfg = resolve(cfg)
     if A.num_vars != 3 or B.num_vars != 3:
         raise ArityError("solve_form_pair_inexact needs ternary forms")
-    return _projection_ladder(A, B, _shift_inexact, _near_curve, _inexact_directions, cfg)
+    return _projection_ladder(A, B, _inexact_center, _inexact_directions, cfg)
+
+
+def _inexact_center(
+    A: InexactForm, B: InexactForm, a: int, b: int
+) -> tuple[InexactForm, InexactForm] | None:
+    """Both forms shifted to the center [a : b : 1], or None if it is near either curve."""
+    As, Bs = _shift_inexact(A, a, b), _shift_inexact(B, a, b)
+    return None if _near_curve(As) or _near_curve(Bs) else (As, Bs)
 
 
 def _near_curve(p: InexactForm) -> bool:
@@ -1030,10 +1104,10 @@ def _near_curve(p: InexactForm) -> bool:
 
 def _inexact_directions(
     As: InexactForm, Bs: InexactForm, cfg: Config
-) -> list[tuple[ProjPoint, int]]:
+) -> tuple[list[tuple[ProjPoint, int]], dict]:
     rc = _interp_resultant_t(As, Bs)
     if max(abs(c) for c in rc) == 0.0:
         raise DegenerateEliminationError(
             "elimination vanished identically; the forms share a component"
         )
-    return binary_roots_inexact(list(rc), cfg)
+    return binary_roots_inexact(list(rc), cfg), {}

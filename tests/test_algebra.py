@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
-from critfin import algebra, cli
+from critfin import algebra, cli, geometry
 from critfin.algebra import (
     Factorization,
     HomogPoly,
@@ -345,25 +345,37 @@ def test_binary_factor_matches_one_zassenhaus_call_on_seeded_forms():
         assert _same_factorization(algebra.factor_uncapped(p), zassenhaus_factor(p)), str(p)
 
 
+#: how many of those binary forms ``analyze`` factors in full; the others are
+#: eliminants of centers refused over a repeated rational direction, whose
+#: simple part is never split
+FACTORED_IN_FULL = {"f": 13, "power": 12, "quadratic": 3, "lattes4": 3}
+
+
 @pytest.mark.parametrize(
     "fixture, count", [("f", 25), ("power", 32), ("quadratic", 3), ("lattes4", 3)]
 )
 def test_binary_factor_matches_one_zassenhaus_call_on_analyze_eliminants(
     monkeypatch, capsys, fixture, count
 ):
-    seen: list[HomogPoly] = []
-    split = algebra._binary_factor_list
+    # every binary form analyze starts to factor is compared with Zassenhaus,
+    # factored in full here, those it stopped early included
+    started: list[HomogPoly] = []
+    finished: list[HomogPoly] = []
+    factors = algebra.binary_factors
 
     def record(p):
-        seen.append(p)
-        return split(p)
+        started.append(p)
+        yield from factors(p)
+        finished.append(p)
 
-    monkeypatch.setattr(algebra, "_binary_factor_list", record)
+    monkeypatch.setattr(algebra, "binary_factors", record)
+    monkeypatch.setattr(geometry, "binary_factors", record)
     assert cli.main(["analyze", fixture]) == 0
     capsys.readouterr()
-    assert len(seen) == count
+    assert len(started) == count
+    assert len(finished) == FACTORED_IN_FULL[fixture]
     monkeypatch.undo()
-    for p in seen:
+    for p in started:
         assert _same_factorization(algebra.factor_uncapped(p), zassenhaus_factor(p)), str(p)
 
 

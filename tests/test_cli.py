@@ -4,10 +4,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import critfin
 from critfin import cli
 from critfin.algebra import _Parser, poly_parse
 from critfin.config import DEFAULT, Config
@@ -345,6 +350,42 @@ def test_solver_shortfall_exits_4(monkeypatch, capsys):
     code = cli.main(["certify-ramification", "f", "--point", "2,3,5"])
     assert code == cli.EXIT_SOLVER
     assert "solver" in capsys.readouterr().err
+
+
+#: what `analyze g3` prints before it exits 4: every center of each of its
+#: period-2 minor pairs lies on a curve or gives an ambiguous fiber (ROADMAP
+#: item 3).  The ladder's screens refuse those centers sooner, in the same words.
+G3_SHORTFALL = (
+    "critfin: solver shortfall: every fixed-point minor pair degenerated: "
+    "no projection center separated the intersection: "
+    "center (0,0) lies on or near a curve; center (1,0) lies on or near a curve; "
+    "center (0,1) lies on or near a curve; center (1,1) lies on or near a curve; "
+    "center (-1,0) lies on or near a curve; center (0,-1) lies on or near a curve; "
+    "center (1,-1) lies on or near a curve; center (-1,1) lies on or near a curve; "
+    "center (2,1) lies on or near a curve; center (1,2) produced an ambiguous fiber; "
+    "center (-2,1) lies on or near a curve; center (3,2) produced an ambiguous fiber\n"
+)
+
+
+def test_analyze_g3_exits_4_naming_every_refused_center(capsys):
+    assert cli.main(["analyze", "g3"]) == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == G3_SHORTFALL
+
+
+def test_python_dash_m_critfin_prints_what_cli_main_prints():
+    env = {**os.environ, "PYTHONPATH": str(Path(critfin.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "critfin", "analyze", "quadratic"],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == cli.EXIT_OK, done.stderr.decode()
+    code, out = run(["analyze", "quadratic"])
+    assert code == cli.EXIT_OK
+    assert done.stdout.decode() == out
 
 
 #: SHA-256 of outputs whose every float (Newton polish, complex fibers,

@@ -208,6 +208,22 @@ def test_g4_floating_fiber_keeps_its_four_fold_point(sign):
     assert sorted(c.multiplicity for c in children) == [1] * 12 + [4]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: at a triple point the Jacobian is singular, so Newton "
+    "converges only linearly and stops about 4.2e-6 off w = 0; the point still maps "
+    "back within residual_tol, and nothing flags it",
+)
+def test_g3_floating_triple_points_lie_on_w_zero():
+    # over [1 : 0 : 1] the fiber is [1 : 0 : -1] and [e^(-+i pi/3) : 0 : 1],
+    # each of multiplicity 3; the last two lie on floating directions
+    tree = preimage_tree(g_map(3), pt(1, 0, 1), depth=1)
+    triple = [c.point for c in tree.root.children if not c.point.exact]
+    assert [c.multiplicity for c in tree.root.children] == [3, 3, 3]
+    assert len(triple) == 2
+    assert all(abs(p.coords[1]) < 1e-9 for p in triple)
+
+
 def test_tree_determinism():
     f = f_map()
     first = preimage_tree(f, pt(2, 3, 5), depth=2)

@@ -14,13 +14,15 @@ repeated factors come out before its simple part is factored at all.  The
 resultant takes one route for binary and ternary forms: Macaulay's quotient
 det M / det M', read off the characteristic polynomials of M and M' so that
 a singular minor M' needs no separate fallback (for binary forms M is the
-Sylvester matrix and M' is empty).
+Sylvester matrix and M' is empty).  To prove only that it is nonzero, as a
+morphism needs, det M is reduced modulo a prime in Python ints.
 
 This is the package's one bridge to sympy, and it reaches only
 ``sympy.polys``: ``to_ring`` gives a form's element of the grevlex ring
 Q[z, w] or Q[z, w, t], and ``from_ring`` gives it back with its terms in
 ascending exponent order.  That order matters because ``evaluate``, Newton
-polishing and the fibre coefficients sum a form's floats in stored order.
+polishing and the fibre coefficients sum a form's floats in stored order;
+a form converts its coefficients to complex once, on first use.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class HomogPoly:
     ``degree is None``.
     """
 
-    __slots__ = ("num_vars", "terms", "degree", "_hash")
+    __slots__ = ("num_vars", "terms", "degree", "_hash", "_floats")
 
     def __init__(self, num_vars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         if num_vars not in (2, 3):
@@ -141,6 +143,7 @@ class HomogPoly:
         self.terms = clean
         self.degree = degree
         self._hash: int | None = None
+        self._floats: tuple[list, float] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -231,17 +234,34 @@ class HomogPoly:
             terms[key] = terms.get(key, Fraction(0)) + c * e
         return HomogPoly(self.num_vars, terms)
 
+    @property
+    def complex_terms(self) -> list[tuple[tuple[int, ...], complex]]:
+        """The terms with complex coefficients, in stored order, converted on first use."""
+        return self._float_data()[0]
+
+    @property
+    def l1_norm(self) -> float:
+        """The sum of the coefficients' absolute values as a float, computed on first use."""
+        return self._float_data()[1]
+
+    def _float_data(self) -> tuple[list, float]:
+        if self._floats is None:
+            norm = float(sum(abs(c) for c in self.terms.values()))
+            self._floats = [(e, complex(c)) for e, c in self.terms.items()], norm
+        return self._floats
+
     def evaluate(self, point: Sequence):
         """Evaluate at a coordinate tuple (Fractions, floats or complex)."""
+        exact = bool(point) and isinstance(point[0], Fraction)
         acc = None
-        for expo, c in self.terms.items():
-            term = c if isinstance(point[0], Fraction) else complex(c)
+        for expo, c in self.terms.items() if exact else self.complex_terms:
+            term = c
             for v, e in zip(point, expo):
                 if e:
                     term = term * v**e
             acc = term if acc is None else acc + term
         if acc is None:
-            return Fraction(0) if (point and isinstance(point[0], Fraction)) else 0.0
+            return Fraction(0) if exact else 0.0
         return acc
 
     def compose(self, forms: Sequence["HomogPoly"]) -> "HomogPoly":
@@ -826,6 +846,66 @@ def _charpoly(m: DomainMatrix) -> list[int]:
     return [int(c) for c in reversed(m.charpoly())]
 
 
+def _macaulay(forms: Sequence[HomogPoly]) -> tuple[list[list[int]], list[int], list]:
+    """The rows of ``resultant``'s matrix M in integers, the indices of its
+    minor M', and each form's ``_clear_denominators`` pair.
+    """
+    nv = forms[0].num_vars
+    degrees = [f.degree for f in forms]
+    cleared = [_clear_denominators(f) for f in forms]
+    mons = monomials_of_degree(nv, 1 + sum(d - 1 for d in degrees))
+    index_of = {mono: j for j, mono in enumerate(mons)}
+    big: list[list[int]] = []
+    nonreduced: list[int] = []
+    for idx, mono in enumerate(mons):
+        divisors = [i for i in range(nv) if mono[i] >= degrees[i]]
+        if len(divisors) >= 2:
+            nonreduced.append(idx)
+        i = divisors[0]
+        shift = [e - (degrees[i] if v == i else 0) for v, e in enumerate(mono)]
+        row = [0] * len(mons)
+        for expo, c in cleared[i][1].items():
+            row[index_of[tuple(a + b for a, b in zip(expo, shift))]] = c
+        big.append(row)
+    return big, nonreduced, cleared
+
+
+def _singular_mod_p(rows: list[list[int]], p: int = 2**61 - 1) -> bool:
+    """Whether a square integer matrix is singular modulo the prime p (Gaussian elimination)."""
+    rows = [[c % p for c in row] for row in rows]
+    for col in range(len(rows)):
+        pivot = next((i for i, row in enumerate(rows) if row[col]), None)
+        if pivot is None:
+            return True
+        head = rows.pop(pivot)[col:]
+        inv = pow(head[0], -1, p)
+        for row in rows:
+            if row[col]:
+                k = row[col] * inv % p
+                row[col:] = [(x - k * y) % p for x, y in zip(row[col:], head)]
+    return False
+
+
+def resultant_nonzero_mod_p(forms: Sequence[HomogPoly]) -> bool:
+    """True when Res is proved nonzero modulo a prime; False proves nothing.
+
+    Macaulay's det M = +-Res * det M' (Cox, Little & O'Shea, *Using
+    Algebraic Geometry*, ch. 3), so det M != 0 mod 2^61 - 1 proves Res != 0.
+    A singular M' makes det M vanish; ternary forms get one more try after
+    x -> A x, A = [[9, 11, 7], [4, 5, 3], [3, 4, 3]] of determinant 1, which
+    keeps Res.  The new coefficients of z^d, w^d and t^d are f at A's
+    columns, so a vanishing one, the usual cause of a singular M', rarely
+    survives the move.  The forms must be as ``resultant`` accepts them.
+    """
+    if not _singular_mod_p(_macaulay(forms)[0]):
+        return True
+    if forms[0].num_vars == 2:
+        return False
+    z, w, t = (HomogPoly.variable(3, i) for i in range(3))
+    A = [z * 9 + w * 11 + t * 7, z * 4 + w * 5 + t * 3, z * 3 + w * 4 + t * 3]
+    return not _singular_mod_p(_macaulay([f.compose(A) for f in forms])[0])
+
+
 def resultant(forms: Sequence[HomogPoly]) -> Fraction:
     """Multivariate resultant of a square system of forms.
 
@@ -871,29 +951,15 @@ def resultant(forms: Sequence[HomogPoly]) -> Fraction:
         )
     if any(f.is_zero() or f.degree == 0 for f in forms):
         raise ArityError("resultant requires nonzero forms of degree >= 1")
-    degrees = [f.degree for f in forms]
-    cleared = [_clear_denominators(f) for f in forms]
-    mons = monomials_of_degree(nv, 1 + sum(d - 1 for d in degrees))
-    index_of = {mono: j for j, mono in enumerate(mons)}
-    big: list[list[int]] = []
-    nonreduced: list[int] = []
-    for idx, mono in enumerate(mons):
-        divisors = [i for i in range(nv) if mono[i] >= degrees[i]]
-        if len(divisors) >= 2:
-            nonreduced.append(idx)
-        i = divisors[0]
-        shift = [e - (degrees[i] if v == i else 0) for v, e in enumerate(mono)]
-        row = [0] * len(mons)
-        for expo, c in cleared[i][1].items():
-            row[index_of[tuple(a + b for a, b in zip(expo, shift))]] = c
-        big.append(row)
+    big, nonreduced, cleared = _macaulay(forms)
     M = DomainMatrix([[ZZ(c) for c in row] for row in big], (len(big), len(big)), ZZ)
     chi_minor = _charpoly(M.extract(nonreduced, nonreduced))
     k = next(j for j, c in enumerate(chi_minor) if c)
     lead = (-1) ** len(big) * int(M.det()) if k == 0 else _charpoly(M)[k]
     if lead % chi_minor[k] != 0:  # pragma: no cover - theory says exact
         raise ArityError("Macaulay quotient failed to divide exactly")
-    res_int = (-1) ** (len(mons) - len(nonreduced)) * (lead // chi_minor[k])
+    res_int = (-1) ** (len(big) - len(nonreduced)) * (lead // chi_minor[k])
     # Res is homogeneous of degree prod(d_j, j != i) in the coefficients of f_i
+    degrees = [f.degree for f in forms]
     scale = prod(L ** prod(degrees[:i] + degrees[i + 1 :]) for i, (L, _) in enumerate(cleared))
     return Fraction(res_int, scale)

@@ -2,7 +2,8 @@
 periodic points, and superattracting certification.
 
 A map is accepted only when its coordinate forms have a nonvanishing
-resultant (no common zero anywhere, so the map is a morphism).  Iterates
+resultant (no common zero anywhere, so the map is a morphism), proved
+modulo a prime where it can be and exactly otherwise.  Iterates
 reuse that certificate: a composition of morphisms is a morphism, so only
 degree bookkeeping and content removal run on iterates.
 
@@ -28,6 +29,7 @@ from .algebra import (
     poly_gcd,
     rational_content,
     resultant,
+    resultant_nonzero_mod_p,
     to_ring,
 )
 from .config import Config, resolve
@@ -137,11 +139,13 @@ class Endomorphism:
 def endo_new(forms: Sequence[HomogPoly], cfg: Config | None = None) -> Endomorphism:
     """Validate and wrap coordinate forms as a morphism.
 
-    Raises NotAMorphismError when the forms share a projective zero (checked
-    by the exact Macaulay resultant, on P^1 and P^2 alike).
+    Raises NotAMorphismError when the forms share a projective zero, on P^1
+    and P^2 alike.  Macaulay's determinant modulo a prime proves the
+    resultant nonzero (``resultant_nonzero_mod_p``); only when it cannot
+    does the exact Macaulay ``resultant`` decide.
     """
     endo = Endomorphism(forms)
-    if resultant(list(endo.forms)) == 0:
+    if not resultant_nonzero_mod_p(endo.forms) and resultant(list(endo.forms)) == 0:
         raise NotAMorphismError(
             "coordinate forms share a common zero; the map is not a morphism"
         )

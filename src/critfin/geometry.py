@@ -37,10 +37,12 @@ then divided back out), and an exact fiber is the dense gcd over QQ of two
 univariates, which must be c * (t - tau)^m.  A floating fiber, in either
 engine, takes tau = -s0/s1 from the first subresultant s1*t + s0 of its two
 univariates: two determinants of a matrix from ``_sylvester``, which also
-builds the floating engine's Sylvester matrices.  Newton polishing
-evaluates complex terms prepared once per projection center, in each form's
-own term order and with ``HomogPoly.evaluate``'s per-term arithmetic, and
-stops once its step is rounding noise.
+builds the floating engine's Sylvester matrices.  Small determinants of
+one center are stacked into one ``det`` call, which runs the one-matrix LU
+on each, so the bits are those of one call per matrix.  Newton polishing
+evaluates each form's ``complex_terms``, in its own term order and with
+``HomogPoly.evaluate``'s per-term arithmetic, and stops once its step is
+rounding noise.
 """
 
 from __future__ import annotations
@@ -308,8 +310,7 @@ def curve_residual(poly: HomogPoly, point: ProjPoint) -> float:
     coords = point.to_complex()
     top = max(abs(c) for c in coords)
     hat = [c / top for c in coords]
-    norm = float(sum(abs(c) for c in poly.terms.values()))
-    return abs(complex(poly.evaluate(hat))) / norm
+    return abs(poly.evaluate(hat)) / poly.l1_norm
 
 
 def contains(s: AlgebraicSet, p: ProjPoint, tol: float | None = None, cfg: Config | None = None) -> Membership:
@@ -364,8 +365,7 @@ def map_point(forms: Sequence[HomogPoly], p: ProjPoint) -> ProjPoint:
         vals = [f.evaluate(p.coords) for f in forms]
         return ProjPoint.exact_point(vals)
     coords = p.to_complex()
-    vals = [complex(f.evaluate(coords)) for f in forms]
-    return ProjPoint.inexact(vals)
+    return ProjPoint.inexact([f.evaluate(coords) for f in forms])
 
 
 def _coeff_floats(coeffs: list[Fraction]) -> list[complex]:
@@ -543,13 +543,8 @@ def _shift_form(p: HomogPoly, a: int, b: int) -> HomogPoly:
     return p.compose([z + t * Fraction(a), w + t * Fraction(b), t])
 
 
-def _complex_terms(p) -> list[tuple[tuple[int, ...], complex]]:
-    """The terms of p as (exponents, complex coefficient), in p's own order."""
-    return [(expo, complex(c)) for expo, c in p.terms.items()]
-
-
 def _evaluate_terms(terms, powers) -> complex:
-    """Sum of prepared terms at a point, term by term as ``HomogPoly.evaluate`` does.
+    """Sum of complex terms at a point, term by term as ``HomogPoly.evaluate`` does.
 
     ``powers[i][e]`` is ``coords[i] ** e``, computed once per point.  The sum
     starts at the first term.
@@ -564,11 +559,16 @@ def _evaluate_terms(terms, powers) -> complex:
     return 0j if acc is None else acc
 
 
+def _float_fibers(As, Bs, z0, w0) -> tuple[list, list]:
+    """Both forms' complex coefficients (descending in t) at (z0, w0, t)."""
+    return tuple(_fiber_coeffs(p.complex_terms, p.degree, z0, w0) for p in (As, Bs))
+
+
 def _fiber_coeffs(terms, deg: int, z0, w0) -> list:
     """Coefficients (descending in t) of a form at (z0, w0, t).
 
     ``terms`` are a form's exact terms (``p.terms.items()``) at rational z0,
-    w0, or its prepared complex terms.  The sums start from the integer 0,
+    w0, or its ``complex_terms``.  The sums start from the integer 0,
     which adds exactly as Fraction(0) or 0j would.
     """
     coeffs = [0] * (deg + 1)
@@ -593,10 +593,8 @@ class _NewtonSystem:
 
     def __init__(self, A, B):
         self.degree = max(A.degree, B.degree)
-        self.forms = (_complex_terms(A), _complex_terms(B))
-        self.partials = tuple(
-            tuple(_complex_terms(p.partial(i)) for i in range(3)) for p in (A, B)
-        )
+        self.forms = (A.complex_terms, B.complex_terms)
+        self.partials = tuple(tuple(p.partial(i).complex_terms for i in range(3)) for p in (A, B))
 
 
 def _newton_system(
@@ -787,22 +785,23 @@ def _split_fibers(
 
     An exact direction reads its fiber root exactly off the gcd over Q,
     unless ``known`` already holds it; a floating one reads it off the first
-    subresultant and Newton polishes it on the system.
+    subresultant and Newton polishes it on the system.  The floating
+    directions' roots are read together, at the first of them.
     """
     known = known or {}
     results: list[tuple[ProjPoint, int]] = []
-    system = None  # prepared complex terms, built at the first floating fiber
+    taus = None  # the floating fiber roots, in direction order
     for direction, mult in directions:
         if direction.exact:
             z0, w0 = direction.coords
             tau = known[direction] if direction in known else _exact_fiber(As, Bs, direction)
         else:
             z0, w0 = direction.to_complex()
-            if system is None:
+            if taus is None:
                 system = _NewtonSystem(As, Bs)
-            tau = _float_fiber_root(
-                *(_fiber_coeffs(t, p.degree, z0, w0) for t, p in zip(system.forms, (As, Bs)))
-            )
+                floating = [d.to_complex() for d, _m in directions if not d.exact]
+                taus = iter(_float_fiber_roots([_float_fibers(As, Bs, *zw) for zw in floating]))
+            tau = next(taus)
         if tau is None:
             return None
         # solutions live in the shifted frame; the original coordinates are
@@ -847,22 +846,24 @@ def _exact_fiber_root(pa: list[Fraction], pb: list[Fraction]) -> Fraction | None
 _SUBRESULTANT_GATE = 1e-11
 
 
-def _float_fiber_root(pa: list[complex], pb: list[complex]) -> complex | None:
-    """The one common root of two floating univariates (descending), or None.
+def _float_fiber_roots(pairs: list[tuple[list[complex], list[complex]]]) -> list[complex | None]:
+    """The one common root of each pair of floating univariates (descending), or None.
 
-    It is -s0/s1 for their first subresultant s1*t + s0, whose coefficients
-    are two maximal minors of ``_sylvester(pa, pb, 1)``; two linear
-    univariates are their own first subresultant.
+    Every pair has the same two lengths.  The root is -s0/s1 for the pair's
+    first subresultant s1*t + s0, whose coefficients are two maximal minors
+    of ``_sylvester(pa, pb, 1)``, each one stacked ``det`` over all pairs;
+    two linear univariates are their own first subresultant.
     """
-    M = _sylvester(pa, pb, 1)
-    if not M.size:
-        s1, s0 = pa
-    else:
-        S1 = M[:, :-1]
-        s1, s0 = np.linalg.det(S1), np.linalg.det(np.delete(M, -2, axis=1))
-        if abs(s1) < _SUBRESULTANT_GATE * np.prod(np.linalg.norm(S1, axis=1)):
-            return None
-    return complex(-s0 / s1)
+    M = np.array([_sylvester(pa, pb, 1) for pa, pb in pairs])
+    if not M[0].size:
+        return [complex(-s0 / s1) for (s1, s0), _pb in pairs]
+    S1 = M[:, :, :-1]
+    s1, s0 = np.linalg.det(S1), np.linalg.det(np.delete(M, -2, axis=2))
+    bounds = np.prod(np.linalg.norm(S1, axis=2), axis=1)
+    return [
+        None if abs(x1) < _SUBRESULTANT_GATE * bound else complex(-x0 / x1)
+        for x1, x0, bound in zip(s1, s0, bounds)
+    ]
 
 
 def curve_intersect(
@@ -910,10 +911,10 @@ class InexactForm:
     Arises when a form pair is assembled from floating scalars (backward
     fibers over any floating point, real or complex), where the rational
     elimination pipeline cannot run.  Quacks enough like ``HomogPoly``
-    (``terms``, ``degree``, ``partial``) for the shared projection ladder,
-    fiber splitter and Newton polish above to work unchanged; exact
-    factorization is of course unavailable, so roots and their
-    multiplicities come from clustering instead.
+    (``terms``, ``complex_terms``, ``degree``, ``partial``) for the shared
+    projection ladder, fiber splitter and Newton polish above to work
+    unchanged; exact factorization is of course unavailable, so roots and
+    their multiplicities come from clustering instead.
     """
 
     __slots__ = ("num_vars", "terms", "degree")
@@ -944,6 +945,10 @@ class InexactForm:
             raise DegenerateEliminationError("scalar combination vanished identically")
         kept = {e: v / top for e, v in terms.items() if abs(v) > 1e-14 * top}
         return cls(p.num_vars, kept, p.degree)
+
+    @property
+    def complex_terms(self):
+        return self.terms.items()  # already complex, in stored order
 
     def partial(self, var: int) -> "InexactForm":
         terms: dict[tuple, complex] = {}
@@ -997,23 +1002,13 @@ def _interp_resultant_t(As: InexactForm, Bs: InexactForm) -> np.ndarray:
 
     The resultant is a binary form of degree deg(As)*deg(Bs); evaluating the
     Sylvester determinant at roots of unity and inverting the DFT recovers
-    its coefficients with unit-circle conditioning.
+    its coefficients with unit-circle conditioning.  The samples' Sylvester
+    matrices are stacked and take one ``det``.
     """
     n = As.degree * Bs.degree + 1
     samples = np.exp(2j * np.pi * np.arange(n) / n)
-    ta, tb = _complex_terms(As), _complex_terms(Bs)
-    vals = np.array(
-        [
-            np.linalg.det(
-                _sylvester(
-                    _fiber_coeffs(ta, As.degree, complex(z0), 1.0),
-                    _fiber_coeffs(tb, Bs.degree, complex(z0), 1.0),
-                    0,
-                )
-            )
-            for z0 in samples
-        ]
-    )
+    stack = [_sylvester(*_float_fibers(As, Bs, complex(z0), 1.0), 0) for z0 in samples]
+    vals = np.linalg.det(np.array(stack))
     coeffs_ascending = np.fft.fft(vals) / n
     return coeffs_ascending[::-1]
 

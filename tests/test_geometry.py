@@ -28,7 +28,7 @@ from critfin.geometry import (
     _evaluate_terms,
     _exact_directions,
     _exact_fiber_root,
-    _float_fiber_root,
+    _float_fiber_roots,
     _PROJECTION_SHIFTS,
     _NewtonSystem,
     _newton_system,
@@ -646,6 +646,10 @@ def test_exact_fiber_root_matches_the_expression_route():
 
 def _complex_poly(rng, deg):
     return [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg + 1)]
+
+
+def _float_fiber_root(pa, pb):
+    return _float_fiber_roots([(pa, pb)])[0]
 
 
 def test_float_fiber_root_reads_one_shared_root():

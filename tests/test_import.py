@@ -48,16 +48,23 @@ def test_algebra_imports_numpy_only_where_it_proposes_roots():
     # 3.11, numpy 2.4), median peak RSS of five runs: a module-level
     # `import numpy` in algebra.py raised it by 0.5 MB in every child,
     # although geometry imports numpy too.  So algebra imports it inside the
-    # one function that calls np.roots.
+    # one function that calls np.roots.  The modular determinant that proves
+    # a morphism works in Python ints and stays numpy-free as well.
     path = Path(critfin.__file__).parent / "algebra.py"
     module = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    top_level = []
-    for node in module.body:
-        if isinstance(node, ast.Import):
-            top_level += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            top_level.append(node.module)
-    assert top_level and not [m for m in top_level if m == "numpy" or m.startswith("numpy.")]
+
+    def numpy_imports(tree) -> list:
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found.append(node.module)
+        return found
+
+    assert len(numpy_imports(module)) == 1
+    functions = [n for n in ast.walk(module) if isinstance(n, ast.FunctionDef)]
+    assert [fn.name for fn in functions if numpy_imports(fn)] == ["_split_low_degree"]
 
 
 def test_candidate_roots_take_complex_coefficients(monkeypatch):

@@ -229,9 +229,8 @@ def differential_at(
     may be forced explicitly, which changes the matrix by the expected
     similarity but never the nilpotency verdict.
     """
-    image = f(p)
     s = p.chart() if source_chart is None else source_chart
-    tgt = image.chart() if target_chart is None else target_chart
+    tgt = f(p).chart() if target_chart is None else target_chart
     exact = p.exact
     coords = list(p.coords if exact else p.to_complex())
     pivot = coords[s]
@@ -304,6 +303,8 @@ class PeriodicPoint:
     eigen_data: tuple = ()
     residual: float = 0.0
     diagnostics: str = ""
+    #: the cycle walked from ``point``, set by ``certify_superattracting``
+    cycle: list[ProjPoint] = field(default_factory=list)
 
     def is_superattracting(self) -> bool:
         return self.classification in (SUPERATTRACTING_ZERO, SUPERATTRACTING_NILPOTENT)
@@ -420,13 +421,6 @@ def _is_fixed(g: Endomorphism, p: ProjPoint, cfg: Config) -> bool:
     return _miss(g(p), p) < cfg.residual_tol
 
 
-def _orbit_points(f: Endomorphism, pp: PeriodicPoint, cfg: Config) -> list[ProjPoint]:
-    pts = [pp.point]
-    for _ in range(pp.period - 1):
-        pts.append(f(pts[-1]))
-    return pts
-
-
 def certify_superattracting(
     f: Endomorphism, pp: PeriodicPoint, cfg: Config | None = None
 ) -> PeriodicPoint:
@@ -437,12 +431,14 @@ def certify_superattracting(
     nilpotent-nonzero by the matrix itself.  Exact cycles get exact
     verdicts; floating ones use the residual tolerance with an ambiguity
     band of one order of magnitude reported as "undecided" rather than
-    forced either way.
+    forced either way.  The cycle walked from the point is kept on ``pp.cycle``.
     """
     cfg = resolve(cfg)
-    cycle = _orbit_points(f, pp, cfg)
-    J = cycle_differential(f, cycle)
-    pp.residual = _miss(f(cycle[-1]), pp.point)
+    pp.cycle = [pp.point]
+    for _ in range(pp.period - 1):
+        pp.cycle.append(f(pp.cycle[-1]))
+    J = cycle_differential(f, pp.cycle)
+    pp.residual = _miss(f(pp.cycle[-1]), pp.point)
     if f.k == 1:
         lam = J.matrix[0][0]
         pp.eigen_data = (lam,)

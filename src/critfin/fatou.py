@@ -98,10 +98,10 @@ def build_targets(
     """Certified cycles of period at most 2 plus the stabilized components.
 
     When no classification report is supplied one is computed (up to the
-    order the dimension supports).  Periodic points coming back from the
-    solver are grouped into cycles by following the map around the orbit;
-    the component list is the union of the stabilized sets across computed
-    orders, deduplicated.
+    order the dimension supports).  Each cycle is the one
+    ``find_periodic`` walked while certifying its first point, so the map
+    is not evaluated here; the component list is the union of the
+    stabilized sets across computed orders, deduplicated.
     """
     cfg = resolve(cfg)
     if report is None:
@@ -118,16 +118,10 @@ def build_targets(
 
     cycles: list[list[ProjPoint]] = []
     classifications: list[str] = []
-    claimed: list[ProjPoint] = []
     for pp in find_periodic(f, 2, cfg):
-        if any(pp.point.is_close(q, cfg.cluster_tol) for q in claimed):
-            continue
-        orbit = [pp.point]
-        for _ in range(pp.period - 1):
-            orbit.append(f(orbit[-1]))
-        claimed.extend(orbit)
-        cycles.append(orbit)
-        classifications.append(pp.classification)
+        if not any(pp.point.is_close(q, cfg.cluster_tol) for cycle in cycles for q in cycle):
+            cycles.append(pp.cycle)
+            classifications.append(pp.classification)
     return TargetSet(cycles=cycles, classifications=classifications, components=components)
 
 
@@ -464,6 +458,13 @@ def _orbit_kernel(
     return out
 
 
+def _accumulates(kernel_out: tuple[np.ndarray, ...], cfg: Config) -> np.ndarray:
+    """Columns not converged, never degenerated, and within ``accumulation_tol`` of a component."""
+    cycle_idx, _, _, overflow, comp_idx, comp_dist = kernel_out
+    near = (comp_idx >= 0) & (comp_dist < cfg.accumulation_tol)
+    return (cycle_idx < 0) & (overflow == 0) & near
+
+
 def _verdicts(
     starts: Sequence[ProjPoint],
     kernel_out: tuple[np.ndarray, ...],
@@ -472,6 +473,7 @@ def _verdicts(
     cfg: Config,
 ) -> list[OrbitVerdict]:
     cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist = kernel_out
+    accumulates = _accumulates(kernel_out, cfg)
     out = []
     for i, start in enumerate(starts):
         if cycle_idx[i] >= 0:
@@ -496,7 +498,7 @@ def _verdicts(
                     ),
                 )
             )
-        elif comp_idx[i] >= 0 and comp_dist[i] < cfg.accumulation_tol:
+        elif accumulates[i]:
             out.append(
                 OrbitVerdict(
                     start=start,
@@ -693,9 +695,9 @@ class SliceSpec:
         raise InputError("slices are defined for maps of P^1 and P^2")
 
     def params(self, col: int, row: int) -> tuple[float, float]:
-        """(u, v) at the center of pixel (col, row); row 0 is the top."""
-        u = self.center[0] - self.extent / 2 + (col + 0.5) * self.extent / self.width
-        v = self.center[1] + self.extent / 2 - (row + 0.5) * self.extent / self.height
+        """(u, v) at the center of pixel (col, row), row 0 at the top; arrays work too."""
+        u = self.center[0] - self.extent / 2 + (col + 0.5) * (self.extent / self.width)
+        v = self.center[1] + self.extent / 2 - (row + 0.5) * (self.extent / self.height)
         return u, v
 
     def pixel_at(self, u: float, v: float) -> tuple[int, int]:
@@ -705,7 +707,7 @@ class SliceSpec:
         return min(max(col, 0), self.width - 1), min(max(row, 0), self.height - 1)
 
     def point(self, col: int, row: int) -> ProjPoint:
-        """The start point sampled by pixel (col, row)."""
+        """Pixel (col, row)'s start: ``ProjPoint.inexact`` of its ``columns`` lift, bit for bit."""
         u, v = self.params(col, row)
         affine = [b + u * du + v * dv for b, du, dv in zip(self.base, self.dir_u, self.dir_v)]
         affine.insert(self.chart, 1.0 + 0.0j)
@@ -714,8 +716,7 @@ class SliceSpec:
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """Pixel-center lifts of pixels lo..hi-1 (row-major) as a (k+1, hi-lo) array."""
         row, col = np.divmod(np.arange(lo, hi), self.width)
-        u = self.center[0] - self.extent / 2 + (col + 0.5) * (self.extent / self.width)
-        v = self.center[1] + self.extent / 2 - (row + 0.5) * (self.extent / self.height)
+        u, v = self.params(col, row)
         rows = [b + u * du + v * dv for b, du, dv in zip(self.base, self.dir_u, self.dir_v)]
         rows.insert(self.chart, np.ones(u.size, dtype=complex))
         return np.array(rows, dtype=complex)
@@ -770,12 +771,14 @@ def render_slice(
 ) -> BasinImage:
     """Classify every pixel of a slice by sampling its center's orbit.
 
-    Each pixel runs the same classification as ``sample_orbit`` on its slice
-    point; the result is deterministic for a fixed spec and configuration,
-    whatever the tile size and the number of CPUs.  Start points are built
-    one tile (or one part of a tile) at a time and each is reduced to labels
-    and iteration counts at once, so memory is O(tile) plus those two per
-    pixel.  The tiles run on every usable CPU; a render of fewer tiles than
+    A pixel starts from its column of ``spec.columns``, which ``spec.point``
+    normalizes bit for bit, and is labelled by ``sample_orbit``'s outcome
+    rule; on a chaotic map a start from the normalized point can still end
+    otherwise.  The result is deterministic for a fixed spec and
+    configuration, whatever the tile size and the number of CPUs.  Start
+    points are built one tile (or part of a tile) at a time and reduced to
+    labels and iteration counts at once, so memory is O(tile) plus those two
+    per pixel.  The tiles run on every usable CPU; a render of fewer tiles than
     CPUs, such as the default 128x128 (one tile), cuts each tile into parts.
     """
     cfg = resolve(cfg)
@@ -789,14 +792,12 @@ def render_slice(
     m = len(targets.cycles)
 
     def classify_tile(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        cycle_idx, conv_iter, _, overflow, comp_idx, comp_dist = run(spec.columns(lo, hi))
+        out = run(spec.columns(lo, hi))
+        cycle_idx, conv_iter = out[:2]
         labels = np.zeros(hi - lo, dtype=np.int16)
         converged = cycle_idx >= 0
         labels[converged] = (cycle_idx[converged] + 1).astype(np.int16)
-        escaped = (
-            ~converged & (overflow == 0) & (comp_idx >= 0) & (comp_dist < cfg.accumulation_tol)
-        )
-        labels[escaped] = m + 1
+        labels[_accumulates(out, cfg)] = m + 1
         return labels, np.where(converged, conv_iter, max_iter).astype(np.int32)
 
     n_pix = spec.width * spec.height

@@ -264,13 +264,14 @@ def omega_limit(graph: OrbitGraph, cfg: Config | None = None) -> OmegaData:
         current = nxt
         l += 1
     E_indices = current
+    cycles = graph.cycles()
     # structural identity of functional graphs: the stabilized image set is
     # exactly the union of cycles (every cycle is hit by the orbit of D)
-    if E_indices != {i for cycle in graph.cycles() for i in cycle}:
+    if E_indices != {i for cycle in cycles for i in cycle}:
         raise SolverError("the stabilized image set is not the union of the graph's cycles")
     diagnostics: list[str] = []
     F_indices: set[int] = set()
-    for cycle in graph.cycles():
+    for cycle in cycles:
         verdicts = [
             _critical_membership(graph.component(i), graph.critical_reference, cfg)
             for i in cycle

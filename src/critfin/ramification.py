@@ -328,7 +328,6 @@ def check_bounded_ramification(
     bound: int,
     stratum_bounds: dict[int, int] | None = None,
     order2_points: AlgebraicSet | None = None,
-    excluded: AlgebraicSet | None = None,
     order: int | None = None,
     cfg: Config | None = None,
 ) -> RamificationCertificate:
@@ -341,12 +340,10 @@ def check_bounded_ramification(
     toward stratum 2 and each stratum is checked against its own bound as
     well as the total.
 
-    ``excluded`` is the locus where the bound genuinely fails (the
-    stabilized postcritical set below top order, the critical cycle locus
-    at top order): a root inside it yields a not-applicable verdict rather
-    than a vacuous pass.  Membership queries landing in the tolerance
-    ambiguity band never guess — the affected path (or the whole
-    certificate, for the root) is reported undecided instead.
+    The root is not tested against any excluded locus here:
+    ``certify_ramification`` settles that before the tree is built.
+    Membership queries landing in the tolerance ambiguity band never guess —
+    the affected path is reported undecided instead.
 
     Every leaf is checked to map back to the root under the appropriate
     iterate; a miss is a solver failure, not a diagnostic.
@@ -358,8 +355,6 @@ def check_bounded_ramification(
     cert = RamificationCertificate(
         root=tree.root.point, depth=tree.depth, order=order, bound=bound, stratum_bounds=bounds
     )
-    if _root_excluded(cert, excluded, cfg):
-        return cert
     # a node at level i lies on deg^(k*(depth-i)) paths: test it only once
     memberships: dict[int, tuple[Membership, Membership | None]] = {}
     for path in tree.paths():
@@ -393,12 +388,8 @@ def check_bounded_ramification(
     return cert
 
 
-def _root_excluded(
-    cert: RamificationCertificate, excluded: AlgebraicSet | None, cfg: Config
-) -> bool:
+def _root_excluded(cert: RamificationCertificate, excluded: AlgebraicSet, cfg: Config) -> bool:
     """Settle the certificate when its root is in, or ambiguous for, ``excluded``."""
-    if excluded is None or excluded.is_empty:
-        return False
     membership = contains(excluded, cert.root, cfg=cfg)
     if membership is Membership.IN:
         cert.verdict = "not-applicable"
@@ -495,20 +486,17 @@ def certify_ramification(
 ) -> RamificationCertificate:
     """End-to-end bounded-ramification certificate for one root point.
 
-    Classifies the map (or reuses a supplied report) and derives the passage
-    bound and the exclusion locus at the deepest cleanly certified order.
-    The root is tested against that locus before any fiber is solved: a
-    root inside it is not-applicable (undecided in the ambiguity band) with
-    no paths.  Otherwise the preimage tree is materialized and every
-    backward orbit audited.
-
-    The exclusion locus depends on the order in play.  Below top order the
-    bound needs the root off the whole stabilized postcritical set; at top
-    order it only needs the root off the critical cycle locus — for a
-    surface map with order-2 data that locus is the critical cycle curves
-    together with the critical point cycles, and a root in the stabilized
-    order-2 set but off those cycles still gets a certificate (flagged as
-    the order-2 case in the diagnostics).
+    Classifies the map (or reuses a supplied report) and sets one passage
+    plan: by default order 1, bounds {1: l_1} and, as excluded locus, the
+    whole stabilized postcritical set E_1, as the bound needs below top
+    order.  At top order the root need only be off the critical cycle
+    locus: F_1 on a cleanly classified line, F_1 ∪ F_2 on a plane with clean
+    order-1 and order-2 data, audited at order 2 (stratum bound l_2 when C_2
+    is nonempty; a root in the stabilized order-2 set but off those cycles
+    is flagged as the order-2 case).  The bound is the sum of the stratum
+    bounds, ``ramification_bound(report, order)``, as C_1 is never empty.  A
+    root in, or ambiguous for, the locus is not-applicable (undecided) with
+    no paths and no fiber solved; otherwise every backward orbit is audited.
     """
     cfg = resolve(cfg)
     if report is None:
@@ -519,7 +507,6 @@ def certify_ramification(
             "the order-1 postcritical orbit did not close; no passage bound "
             "is available"
         )
-    notes: list[str] = []
     clean1 = not lvl1.omega.diagnostics
     lvl2 = report.level(2)
     clean2 = (
@@ -528,54 +515,44 @@ def certify_ramification(
         and lvl2.omega is not None
         and not lvl2.omega.diagnostics
     )
-    if f.k == 1:
-        order_used = 1
-        if clean1:
-            excluded = lvl1.omega.F
-        else:
-            excluded = lvl1.omega.E
-            notes.append(
-                "order-1 cycle classification carried diagnostics; excluding "
-                "the whole stabilized postcritical set to stay conservative"
-            )
-        order2_points = None
-        bounds = {1: lvl1.omega.l}
-    elif clean1 and clean2:
-        order_used = 2
+    # the default plan: order 1, off the whole stabilized postcritical set
+    order, bounds, excluded, order2_points = 1, {1: lvl1.omega.l}, lvl1.omega.E, None
+    notes: list[str] = []
+    if f.k == 1 and clean1:
+        excluded = lvl1.omega.F
+    elif f.k == 2 and clean1 and clean2:
         # the critical cycle locus in full: cycle curves plus cycle points
-        excluded = lvl1.omega.F.union(lvl2.omega.F)
-        order2_points = None if lvl2.C.is_empty else lvl2.C
-        bounds = {1: lvl1.omega.l}
+        order, excluded = 2, lvl1.omega.F.union(lvl2.omega.F)
         if not lvl2.C.is_empty:
-            bounds[2] = lvl2.omega.l
+            bounds[2], order2_points = lvl2.omega.l, lvl2.C
+    elif f.k == 1:
+        notes.append(
+            "order-1 cycle classification carried diagnostics; excluding "
+            "the whole stabilized postcritical set to stay conservative"
+        )
     else:
-        order_used = 1
-        excluded = lvl1.omega.E
-        order2_points = None
-        bounds = {1: lvl1.omega.l}
         notes.append(
             "order-2 data unavailable or uncertified; using the order-1 "
             "exclusion locus and bound"
         )
-    bound = ramification_bound(report, order_used)
     depth = _tree_depth(f, q, depth, cfg)
+    bound = sum(bounds.values())
     cert = RamificationCertificate(
-        root=q, depth=depth, order=order_used, bound=bound, stratum_bounds=bounds
+        root=q, depth=depth, order=order, bound=bound, stratum_bounds=bounds
     )
     if not _root_excluded(cert, excluded, cfg):
-        # the root is off the locus: audit without testing it again
         cert = check_bounded_ramification(
             preimage_tree(f, q, depth, cfg),
             lvl1.C,
             bound,
             stratum_bounds=bounds,
             order2_points=order2_points,
-            order=order_used,
+            order=order,
             cfg=cfg,
         )
     cert.diagnostics.extend(notes)
     if (
-        order_used == 2
+        order == 2
         and cert.verdict not in ("not-applicable", "undecided")
         and contains(lvl2.omega.E, q, cfg=cfg) is Membership.IN
     ):

@@ -12,12 +12,13 @@ import pytest
 import critfin.fatou as fatou
 from critfin.algebra import poly_parse
 from critfin.config import Config, resolve
-from critfin.dynamics import endo_new
+from critfin.dynamics import Endomorphism, endo_new, find_periodic
 from critfin.errors import InputError
 from critfin.fatou import (
     ACCUMULATES,
     CONVERGED,
     UNDECIDED,
+    UNDECIDED_LABEL,
     SliceSpec,
     TargetSet,
     build_targets,
@@ -135,6 +136,42 @@ def test_cycles_partition_the_periodic_points():
     for i, p in enumerate(flat):
         assert not any(p.is_close(q, 1e-8) for q in flat[i + 1 :])
     assert sum(len(c) for c in T.cycles) == 21
+
+
+@pytest.mark.parametrize("name", ["f", "power", "quad", "lattes"])
+def test_build_targets_reads_the_cycles_find_periodic_walked(monkeypatch, name):
+    f = {"f": f_map, "power": power_map, "quad": quad_map, "lattes": lattes_map}[name]()
+    for pp in find_periodic(f, 2):
+        walk = [pp.point]
+        for _ in range(pp.period - 1):
+            walk.append(f(walk[-1]))
+        assert pp.cycle == walk
+    # count map evaluations made by build_targets itself, outside the
+    # periodic solve and the classification it calls
+    calls, inside = [0], [0]
+    real_call = Endomorphism.__call__
+
+    def counting_call(self, p):
+        if not inside[0]:
+            calls[0] += 1
+        return real_call(self, p)
+
+    def nested(fn):
+        def run(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        return run
+
+    monkeypatch.setattr(Endomorphism, "__call__", counting_call)
+    monkeypatch.setattr(fatou, "find_periodic", nested(fatou.find_periodic))
+    monkeypatch.setattr(fatou, "classify", nested(fatou.classify))
+    T = build_targets(f)
+    assert calls[0] == 0
+    assert sum(len(c) for c in T.cycles) == len(find_periodic(f, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +417,16 @@ def test_slice_grid_is_row_major():
     for row in range(3):
         for col in range(4):
             column = grid[:, row * 4 + col]
-            assert ProjPoint.inexact(column).is_close(spec.point(col, row), 1e-12)
+            assert ProjPoint.inexact(column) == spec.point(col, row)
+
+
+def test_slice_point_is_its_render_column_bit_for_bit():
+    # extent / width = 1/40 is not exact in binary, so a pixel centre
+    # rounded otherwise than the column's differs in its last bits
+    spec = SliceSpec.default(2, width=100, height=60, extent=2.5, center=(0.3, 0.2))
+    for i in range(100 * 60):
+        row, col = divmod(i, 100)
+        assert spec.point(col, row) == ProjPoint.inexact(spec.columns(i, i + 1)[:, 0])
 
 
 def test_default_slices():
@@ -410,19 +456,21 @@ def test_power_render_oracle():
 
 def test_render_agrees_with_per_pixel_sampling():
     T = targets_for("quad")
-    spec = SliceSpec.default(1, width=5, height=4, extent=5.0)
+    spec = SliceSpec.default(1, width=9, height=7, extent=4.2)
     img = render_slice(quad_map(), spec, T, max_iter=80)
-    for row in range(4):
-        for col in range(5):
+    escape = len(T.cycles) + 1
+    for row in range(7):
+        for col in range(9):
             v = sample_orbit(quad_map(), spec.point(col, row), T, max_iter=80)
             if v.outcome == CONVERGED:
-                assert img.labels[row, col] == v.cycle + 1
-                assert img.iterations[row, col] == v.iterations
+                expected = (v.cycle + 1, v.iterations)
             elif v.outcome == ACCUMULATES:
-                assert img.labels[row, col] == len(T.cycles) + 1
+                expected = (escape, 80)
             else:
-                assert img.labels[row, col] == 0
-                assert img.iterations[row, col] == 80
+                expected = (UNDECIDED_LABEL, 80)
+            assert (img.labels[row, col], img.iterations[row, col]) == expected
+    # the window holds undecided, escaping and converged pixels alike
+    assert {UNDECIDED_LABEL, escape} < set(img.labels.ravel().tolist())
 
 
 def test_render_labels_match_legend():

@@ -15,6 +15,10 @@ D F^n = diag((p^n)'(x), (q^n)'(y)).  So for every (c1, c2):
   differential: S(0) = {0}, S(-1) = {0, -1}, S(-2) = {} (0 -> -2 -> 2 is
   only preperiodic).
 
+The P^2 Lattes map ``lattes2``, the symmetric square of the line's degree-4
+Lattes map, is the paper's k-critically finite case with k = 2: its orbits
+of critical curves and of order-2 critical points both close.
+
 Each map is loaded with ``cli.load_map`` from a map document written here.
 """
 
@@ -84,6 +88,23 @@ def test_quadratic_product_matches_its_closed_form(tmp_path, c1, c2, count):
     for level in report.levels.values():
         assert level.finite_order is True
         assert level.verdict is False
+
+
+#: the symmetric square of lattes4 on P^2
+LATTES2 = [
+    "16*t^3*z + 32*t^2*z^2 - 16*t*w^2*z + 16*t*z^3",
+    "4*t^3*w + 20*t^2*w*z - 4*t*w^3 - 20*t*w*z^2 + 4*w^3*z - 4*w*z^3",
+    "t^4 - 4*t^3*z + 2*t^2*w^2 + 6*t^2*z^2 - 4*t*w^2*z - 4*t*z^3 + w^4 + 2*w^2*z^2 + z^4",
+]
+
+
+def test_lattes2_is_critically_finite_of_orders_one_and_two(tmp_path):
+    report = classify(_load(tmp_path, LATTES2, 4))
+    assert sorted(report.levels) == [1, 2]
+    for level in report.levels.values():
+        assert level.finite_order is True
+        assert level.verdict is True
+        assert level.omega.certified()
 
 
 @pytest.mark.xfail(strict=True, raises=DegenerateEliminationError, reason=ITEM_3)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from critfin.algebra import poly_parse
+from critfin.cli import load_map
 from critfin.config import Config
 from critfin.dynamics import endo_new
 from critfin.errors import BudgetError, InputError, SolverError
@@ -383,6 +384,30 @@ def test_stratum_bounds_are_checked_separately():
     )
     assert bad.verdict == "violation"
     assert bad.violations[0].passages[0].stratum == 2
+
+
+#: the first two roots of the benchmark's seeded pool, per dimension
+POOL_ROOTS = {1: [(7, 5), (4, 5)], 2: [(1, 9, 1), (2, 8, 3)]}
+#: roots on critical cycle curves, not-applicable before any fiber is solved
+EXCLUDED_ROOTS = {"power": (0, 1, 2), "g3": (1, 0, 1), "g4": (0, 1, 1)}
+
+
+@pytest.mark.parametrize("fixture", ["f", "power", "quadratic", "lattes4", "g3", "g4"])
+def test_certificate_bound_is_the_classification_bound(fixture):
+    f = load_map(fixture)[0]
+    reports = [classify(f, order=min(f.k, 2))]
+    if f.k == 2:
+        reports.append(classify(f, order=1))  # no order-2 data: the order-1 plan
+    for report in reports:
+        for root in POOL_ROOTS[f.k]:
+            cert = certify_ramification(f, pt(*root), depth=1, report=report)
+            bound = ramification_bound(report, cert.order)
+            assert cert.bound == bound == sum(cert.stratum_bounds.values())
+    if fixture in EXCLUDED_ROOTS:
+        cert = certify_ramification(f, pt(*EXCLUDED_ROOTS[fixture]), depth=2, report=reports[0])
+        assert cert.verdict == "not-applicable" and not cert.paths
+        bound = ramification_bound(reports[0], cert.order)
+        assert cert.bound == bound == sum(cert.stratum_bounds.values())
 
 
 def test_certify_needs_a_closed_order_one_orbit():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
@@ -495,3 +496,105 @@ def _attracting_numeric(tr, det, cfg: Config) -> str:
     if any(abs(m - 1.0) <= cfg.residual_tol for m in mags):
         return UNDECIDED
     return ATTRACTING if all(m < 1 for m in mags) else OTHER
+
+
+# ---------------------------------------------------------------------------
+# trapping balls
+# ---------------------------------------------------------------------------
+
+# trapping radii are tried from 2^-1 down to this one
+_MIN_TRAP = Fraction(1, 2**30)
+
+
+def _trap_radius(g: Endomorphism, p: ProjPoint) -> Fraction | None:
+    """The largest r = 2^-j >= 2^-30 on which g provably halves the distance to p.
+
+    In p's chart c, with x = p + h (h_c = 0), write N_i(h) = G_i(x) - p_i G_c(x)
+    and D(h) = G_c(x), expanded over Q.  When no N_i has a term of degree
+    below 2 in h, every h with ||h|| <= r has |N_i(h)| <= ||h||^2
+    sum |a_i,alpha| r^(|alpha|-2) and |D(h)| >= B(r) = |D(0)| -
+    sum_{alpha != 0} |b_alpha| r^|alpha|.  So B(r) > 0 and
+    max_i sum |a_i,alpha| r^(|alpha|-1) <= B(r)/2 give
+    ||g(p+h) - p|| <= ||h||^2 / (2r) <= ||h|| / 2 in the max-norm.
+    """
+    c = p.chart()
+    anchor = [x / p.coords[c] for x in p.coords]
+    nv = len(anchor)
+    xc = HomogPoly.variable(nv, c)
+    shift = [HomogPoly.variable(nv, j) + xc * anchor[j] if j != c else xc for j in range(nv)]
+    G = [form.compose(shift) for form in g.forms]
+
+    def weights(poly: HomogPoly) -> dict[int, Fraction]:
+        # sum of |coefficient| per total degree in h
+        out: dict[int, Fraction] = {}
+        for e, coef in poly.terms.items():
+            out[g.degree - e[c]] = out.get(g.degree - e[c], 0) + abs(coef)
+        return out
+
+    D = weights(G[c])
+    N = [weights(G[i] - G[c] * anchor[i]) for i in range(nv) if i != c]
+    if any(k < 2 for w in N for k in w):
+        return None
+    r = Fraction(1, 2)
+    while r >= _MIN_TRAP:
+        B = D.get(0, 0) - sum(w * r**k for k, w in D.items() if k)
+        if B > 0 and all(2 * sum(w * r ** (k - 1) for k, w in Ni.items()) <= B for Ni in N):
+            return r
+        r /= 2
+    return None
+
+
+def _in_ball(q: ProjPoint, p: ProjPoint, r: Fraction) -> bool:
+    """Whether q lies in the closed max-norm ball of radius r around p, in p's chart."""
+    c = p.chart()
+    if q.coords[c] == 0:
+        return False
+    return all(
+        abs(q.coords[j] / q.coords[c] - p.coords[j] / p.coords[c]) <= r
+        for j in range(len(p.coords))
+        if j != c
+    )
+
+
+def trapping_radii(
+    f: Endomorphism,
+    cycles: Sequence[Sequence[ProjPoint]],
+    classifications: Sequence[str],
+    cfg: Config | None = None,
+) -> dict[int, Fraction]:
+    """Certified trapping radius of each superattracting cycle with exact points.
+
+    For cycle ``i`` of period n the radius r = 2^-j (j <= 30) is certified
+    in exact rational arithmetic on g = f^n, or on f^(2n) when f^n fails (a
+    nilpotent differential): at every member p the expansion of g has no
+    term of degree below 2, and r satisfies the bound of ``_trap_radius``,
+    so g maps the closed max-norm ball of radius r around p, in p's chart,
+    into the ball of radius r/2 and its iterates converge to p.  r is then
+    halved until no point of another cycle lies in a ball.  A cycle gets no
+    radius when d^m exceeds ``max_iterate_degree``, when some member fails
+    the check, or when r would drop below 2^-30.  The result maps cycle
+    indices to radii.
+    """
+    cfg = resolve(cfg)
+    iterates: dict[int, Endomorphism] = {}
+    traps: dict[int, Fraction] = {}
+    for i, cycle in enumerate(cycles):
+        superattracting = classifications[i] in (SUPERATTRACTING_ZERO, SUPERATTRACTING_NILPOTENT)
+        if not superattracting or not all(p.exact for p in cycle):
+            continue
+        r = None
+        for m in (len(cycle), 2 * len(cycle)):
+            if f.degree**m > cfg.max_iterate_degree:
+                break
+            if m not in iterates:
+                iterates[m] = iterate(f, m, cfg)
+            radii = [_trap_radius(iterates[m], p) for p in cycle]
+            if None not in radii:
+                r = min(radii)
+                break
+        others = [q for j, other in enumerate(cycles) if j != i for q in other]
+        while r is not None and any(_in_ball(q, p, r) for p in cycle for q in others):
+            r = r / 2 if r > _MIN_TRAP else None
+        if r is not None:
+            traps[i] = r
+    return traps

@@ -1,11 +1,13 @@
-"""Empirical orbit classification: basin sampling, escape rates, renders.
+"""Orbit classification: basin sampling, escape rates, renders.
 
-Everything here is numerical evidence, not certification: orbits are iterated
-in adaptive charts (the lift is renormalized to unit max-norm every step, so
-the working chart follows the largest coordinate), and each orbit is scored
+Apart from the trapping balls, which are certified, everything here is
+numerical evidence: orbits are iterated in adaptive charts (the lift is
+renormalized to unit max-norm every step, so the working chart follows the
+largest coordinate), and each orbit is scored
 against a ``TargetSet`` of certified periodic cycles and stabilized
-postcritical components.  An orbit that sits within the convergence tolerance
-of a cycle for a full window of consecutive steps is ``converged``; one whose
+postcritical components.  An orbit that enters a certified trapping ball of a
+superattracting cycle, or that sits within the convergence tolerance of a
+cycle for a full window of consecutive steps, is ``converged``; one whose
 late iterates approach a postcritical component is ``accumulates-near``;
 everything else is ``undecided``.  Slice renders classify a whole pixel grid
 of start points and can be written out as a PPM image with a JSON legend
@@ -31,6 +33,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +43,7 @@ from .dynamics import (
     UNDECIDED,
     Endomorphism,
     find_periodic,
+    trapping_radii,
 )
 from .errors import InputError
 from .geometry import Component, HomogPoly, ProjPoint, same_component
@@ -79,12 +83,22 @@ class TargetSet:
     ``cycles[i]`` lists the points of one periodic cycle (the cycle id is the
     index ``i``), ``classifications[i]`` is its certified multiplier class,
     and ``components`` collects the stabilized postcritical pieces orbits may
-    accumulate on.
+    accumulate on.  ``traps[i]``, when present, is cycle ``i``'s certified
+    trapping radius r: around each member p, in p's chart, the closed
+    max-norm ball of radius r is mapped by f^m into the ball of radius r/2
+    and converges to p (see ``dynamics.trapping_radii``), and so is every
+    smaller ball around p.  The kernel tests every trap at the smallest
+    radius of the set, less a margin for rounding, and an orbit inside one
+    of those balls is converged to its cycle at that step.  The balls must
+    be disjoint, as ``build_targets`` makes them.  Cycles without a trap,
+    and every cycle of a set built by hand without ``traps``, are confirmed
+    by the convergence window alone.
     """
 
     cycles: list[list[ProjPoint]] = field(default_factory=list)
     classifications: list[str] = field(default_factory=list)
     components: list[Component] = field(default_factory=list)
+    traps: dict[int, Fraction] = field(default_factory=dict)
 
     def superattracting(self, i: int) -> bool:
         return self.classifications[i].startswith("superattracting")
@@ -102,6 +116,9 @@ def build_targets(
     ``find_periodic`` walked while certifying its first point, so the map
     is not evaluated here; the component list is the union of the
     stabilized sets across computed orders, deduplicated.
+
+    Each superattracting cycle whose points are exact gets the trapping
+    radius ``trapping_radii`` certifies in exact rational arithmetic, if any.
     """
     cfg = resolve(cfg)
     if report is None:
@@ -122,7 +139,8 @@ def build_targets(
         if not any(pp.point.is_close(q, cfg.cluster_tol) for cycle in cycles for q in cycle):
             cycles.append(pp.cycle)
             classifications.append(pp.classification)
-    return TargetSet(cycles=cycles, classifications=classifications, components=components)
+    traps = trapping_radii(f, cycles, classifications, cfg)
+    return TargetSet(cycles, classifications, components, traps)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +156,12 @@ class OrbitVerdict:
     outcome: str  # "converged" | "accumulates-near" | "undecided"
     cycle: int | None = None  # index into the target cycles when converged
     component: Component | None = None  # the component being approached
-    iterations: int = 0  # step of confirmation, or the budget spent
-    distance: float = math.inf  # final distance to the named target
+    # step of confirmation, or the budget spent; for an orbit that entered a
+    # certified trap, the step it entered
+    iterations: int = 0
+    # final distance to the named target: for a trapped orbit, the chart
+    # max-norm distance to the member at entry, at most the trap radius
+    distance: float = math.inf
     diagnostics: str = ""
 
 
@@ -310,6 +332,10 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
     """
     terms = _form_terms(f.forms)
     charts = _anchor_charts(targets.cycles)
+    trapped = sorted(targets.traps)
+    trap_charts = _anchor_charts([targets.cycles[i] for i in trapped])
+    # the margin makes a floating "inside" mean truly inside
+    rho = min(map(float, targets.traps.values()), default=0.0) * (1 - 2.0**-20)
     probes = _component_probes(targets.components)
     tail_start = max_iter - cfg.convergence_window
 
@@ -340,6 +366,21 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
                 img[:, ~live] = tile[:, ~live]  # freeze the last finite lift
                 m = np.where(live, m, 1.0)
             tile = img / m
+
+            if trap_charts:
+                # a column inside a certified trap converges: it retires
+                # before the screening, which it skips
+                near, dist = _nearest_cycle(tile, trap_charts, rho)
+                done = live & (near >= 0)
+                if done.any():
+                    rows = cols[done]
+                    cycle_idx[rows] = np.take(trapped, near[done])
+                    conv_iter[rows] = it
+                    conv_dist[rows] = dist[done]
+                    keep = ~done
+                    tile, live, cols, streak, last = (
+                        tile[:, keep], live[keep], cols[keep], streak[keep], last[keep]
+                    )
 
             if charts:
                 near, dist = _nearest_cycle(tile, charts, cfg.convergence_tol)
@@ -439,9 +480,10 @@ def _orbit_kernel(
     """Iterate every column of ``coords`` and classify each orbit.
 
     Returns per-column arrays: converged cycle index (-1 if none), the step
-    of confirmation, the confirming distance, the step at which the lift
-    degenerated (0 if never), the nearest-component index over the tail
-    window (-1 if unmeasured), and that best tail distance.
+    of confirmation and the confirming distance (the step of entry and the
+    distance at entry, for a column that enters a certified trap), the step
+    at which the lift degenerated (0 if never), the nearest-component index
+    over the tail window (-1 if unmeasured), and that best tail distance.
 
     Columns run in tiles of ``_TILE`` on every usable CPU, a lone tile cut
     into parts, so working memory is O(tile) per process beside the
@@ -532,10 +574,14 @@ def sample_orbits(
     Orbits advance in lockstep, one tile of columns at a time, on every
     usable CPU (a lone tile is cut into parts); a column retires as soon as
     its verdict is known.  A verdict depends neither on the other starts in
-    the batch nor on the number of CPUs.  Convergence means the distance to
-    one cycle stayed below the convergence tolerance for a full window of
-    consecutive steps; orbits that never confirm are checked over their last
-    window of iterates against the postcritical components and reported as
+    the batch nor on the number of CPUs.  Convergence means the orbit entered
+    one of the certified trapping balls of ``targets.traps`` (``iterations``
+    is the step of entry and ``distance`` the chart max-norm distance there,
+    at most the trap radius), or that its distance to one cycle stayed below
+    the convergence tolerance for a full window of consecutive steps; a trap
+    is checked first, so a trapped orbit skips that step's screening.
+    Orbits that never confirm are checked over their last window of
+    iterates against the postcritical components and reported as
     accumulating when they come within the accumulation tolerance.
     """
     cfg = resolve(cfg)
@@ -732,8 +778,10 @@ class BasinImage:
 
     ``labels[row, col]`` uses 0 for undecided, 1..m for the target cycles in
     order, and m+1 for escape toward the postcritical components;
-    ``iterations`` records the confirmation step (converged pixels) or the
-    full budget.  ``summary`` gives the fraction of pixels per legend entry.
+    ``iterations`` records the confirmation step (converged pixels: the step
+    the orbit entered a certified trap, or the last step of its convergence
+    window) or the full budget.  ``summary`` gives the fraction of pixels
+    per legend entry.
     """
 
     width: int
@@ -774,12 +822,16 @@ def render_slice(
     A pixel starts from its column of ``spec.columns``, which ``spec.point``
     normalizes bit for bit, and is labelled by ``sample_orbit``'s outcome
     rule; on a chaotic map a start from the normalized point can still end
-    otherwise.  The result is deterministic for a fixed spec and
-    configuration, whatever the tile size and the number of CPUs.  Start
-    points are built one tile (or part of a tile) at a time and reduced to
-    labels and iteration counts at once, so memory is O(tile) plus those two
-    per pixel.  The tiles run on every usable CPU; a render of fewer tiles than
-    CPUs, such as the default 128x128 (one tile), cuts each tile into parts.
+    otherwise.  A pixel whose orbit enters a certified trapping ball of
+    ``targets.traps`` is labelled with that cycle at the step of entry, which
+    is its iteration count.  Its orbit converges to that cycle, which the
+    convergence window alone would confirm later, budget permitting.  The
+    result is deterministic for a fixed spec and configuration, whatever the
+    tile size and the number of CPUs.  Start points are built one tile (or
+    part of a tile) at a time and reduced to labels and iteration counts at
+    once, so memory is O(tile) plus those two per pixel.  The tiles run on
+    every usable CPU; a render of fewer tiles than CPUs, such as the default
+    128x128 (one tile), cuts each tile into parts.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter

@@ -68,6 +68,8 @@ class OrbitGraph:
         self.critical_reference: AlgebraicSet | None = None
         self.unverified_cycles: list[tuple[int, ...]] = []
         self._exact_index: dict[Component, int] = {}
+        # the images last walked, and the cycles found on them
+        self._cycles: tuple[tuple, list[tuple[int, ...]]] = ((), [])
         for s in seeds:
             self.seed_indices.append(self.find_or_add(s, depth=0))
 
@@ -108,7 +110,17 @@ class OrbitGraph:
         return seen
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition of the functional graph, deterministic order."""
+        """Cycle decomposition of the functional graph, deterministic order.
+
+        The list is kept with the edges it was walked on, so the cycle
+        verification and ``omega_limit`` share one walk of a closed graph.
+        """
+        images = tuple(node.image for node in self.nodes)
+        if self._cycles[0] != images:
+            self._cycles = (images, self._walk_cycles())
+        return list(self._cycles[1])
+
+    def _walk_cycles(self) -> list[tuple[int, ...]]:
         state = [0] * len(self.nodes)  # 0 unseen, 1 on current walk, 2 done
         found: list[tuple[int, ...]] = []
         for start in range(len(self.nodes)):

@@ -1,18 +1,22 @@
 """Orbit sampling, escape rates, and basin rendering."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import critfin.dynamics as dynamics
 import critfin.fatou as fatou
 from critfin.algebra import poly_parse
 from critfin.config import Config, resolve
-from critfin.dynamics import Endomorphism, endo_new, find_periodic
+from critfin.dynamics import Endomorphism, endo_new, find_periodic, iterate
 from critfin.errors import InputError
 from critfin.fatou import (
     ACCUMULATES,
@@ -51,6 +55,11 @@ def lattes_map():
     return endo_new([P2("z^4 + 2*z^2*w^2 + w^4"), P2("4*z^3*w - 4*z*w^3")])
 
 
+def shifted_map():
+    # z -> (z - 1)^2 + 1: a superattracting fixed point off the vertices, at [1 : 1]
+    return endo_new([P2("z^2 - 2*z*w + 2*w^2"), P2("w^2")])
+
+
 def pt(*coords):
     return ProjPoint.exact_point(list(coords))
 
@@ -67,9 +76,16 @@ def targets_for(name):
             "power": power_map,
             "quad": quad_map,
             "lattes": lattes_map,
+            "shifted": shifted_map,
         }
         _TARGETS[name] = build_targets(builders[name]())
     return _TARGETS[name]
+
+
+def trapless(name):
+    """The map's targets without trapping balls: orbits confirm by the
+    convergence window alone, the rule these tests pin step for step."""
+    return dataclasses.replace(targets_for(name), traps={})
 
 
 def cycle_index(targets, point):
@@ -181,7 +197,7 @@ def test_build_targets_reads_the_cycles_find_periodic_walked(monkeypatch, name):
 
 def test_f_origin_basin():
     # (0.1, 0.1) -> (-0.09, 0.01) -> (-0.0019, 0.0001) -> ... -> the origin
-    T = targets_for("f")
+    T = trapless("f")
     v = sample_orbit(f_map(), ProjPoint.inexact([0.1, 0.1, 1]), T)
     assert v.outcome == CONVERGED
     assert v.cycle == cycle_index(T, pt(0, 0, 1))
@@ -507,7 +523,7 @@ def test_lattes_renders_have_no_basin_pixels():
 
 
 def test_single_pixel_render():
-    T = targets_for("f")
+    T = trapless("f")
     img = render_slice(f_map(), SliceSpec.default(2, width=1, height=1), T)
     assert img.labels.shape == (1, 1)
     assert img.labels[0, 0] == cycle_index(T, pt(0, 0, 1)) + 1
@@ -515,7 +531,7 @@ def test_single_pixel_render():
 
 
 def test_render_iteration_counts():
-    T = targets_for("f")
+    T = trapless("f")
     img = render_slice(f_map(), SliceSpec.default(2, width=16, height=16), T, max_iter=200)
     converged = (img.labels != 0) & (img.labels != len(T.cycles) + 1)
     assert (img.iterations[converged] >= resolve(None).convergence_window).all()
@@ -597,7 +613,7 @@ _KERNEL_SHA256_F24 = (
 def _f_kernel(res):
     cfg = resolve(None)
     coords = SliceSpec.default(2, width=res, height=res).grid()
-    return fatou._orbit_kernel(f_map(), coords, targets_for("f"), cfg.max_orbit_iters, cfg)
+    return fatou._orbit_kernel(f_map(), coords, trapless("f"), cfg.max_orbit_iters, cfg)
 
 
 def test_render_bytes_match_recorded_digests(tmp_path):
@@ -626,7 +642,7 @@ def test_kernel_tiles_do_not_change_results(monkeypatch):
         ProjPoint.inexact([complex(a, b), complex(c, 0.1 * d), 1])
         for a, b, c, d in np.random.default_rng(7).uniform(-1.5, 1.5, size=(20, 4))
     ]
-    f, T = f_map(), targets_for("f")
+    f, T = f_map(), trapless("f")
     # 15 steps leave some orbits to the tail-window component check
     budgets = (15, None)
     single = {it: [sample_orbit(f, s, T, max_iter=it) for s in starts] for it in budgets}
@@ -809,7 +825,7 @@ def _pool_runs(monkeypatch):
 def test_worker_pool_gives_the_serial_results(monkeypatch):
     import multiprocessing
 
-    f, T, cfg = f_map(), targets_for("f"), resolve(None)
+    f, T, cfg = f_map(), trapless("f"), resolve(None)
     spec = SliceSpec.default(2, width=24, height=24)
     runs = _pool_runs(monkeypatch)
     monkeypatch.setattr(fatou, "_TILE", 100)  # 576 columns: 6 tiles, the last ragged
@@ -968,3 +984,158 @@ def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):
         render_slice(f_map(), SliceSpec.default(2, width=128, height=128), twice, max_iter=20)
     assert [len(pieces) for pieces in batches] == [2]
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# certified trapping balls
+# ---------------------------------------------------------------------------
+
+
+class Gauss:
+    """An exact Gaussian rational re + im*i, enough arithmetic to evaluate forms."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return Gauss(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Gauss(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return Gauss(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def norm(self):
+        return self.re**2 + self.im**2
+
+
+def _evaluate_exactly(form, x):
+    acc = Gauss(0)
+    for expo, c in form.terms.items():
+        term = Gauss(c)
+        for xj, e in zip(x, expo):
+            for _ in range(e):
+                term = term * xj
+        acc = acc + term
+    return acc
+
+
+def _ball_points(k, r, rng, count=200):
+    """Offsets h in the closed polydisc |h_j| <= r of C^k: every corner with
+    h_j in {r, -r, ir, -ir}, then seeded Gaussian rationals, some on the rim."""
+    corners = [(r, 0), (-r, 0), (0, r), (0, -r)]
+    points = [list(h) for h in itertools.product(corners, repeat=k)]
+    while len(points) < count:
+        h = []
+        for _ in range(k):
+            while True:
+                a, b = (Fraction(int(v), 64) for v in rng.integers(-64, 65, size=2))
+                if a * a + b * b <= 1:
+                    break
+            h.append((a * r, b * r))
+        points.append(h)
+    return [[Gauss(*hj) for hj in h] for h in points]
+
+
+def _halves_distances(f, cycle, r, rng):
+    """Whether some g = f^m, m = n or 2n, has ||g(p+h) - p|| <= ||h|| / 2 at
+    every sampled h of every member's ball, checked in exact arithmetic."""
+    n = len(cycle)
+    for m in (n, 2 * n):
+        g = iterate(f, m)
+        ok = True
+        for p in cycle:
+            c = p.chart()
+            anchor = [x / p.coords[c] for x in p.coords]
+            others = [j for j in range(len(anchor)) if j != c]
+            for h in _ball_points(len(others), r, rng):
+                x = [Gauss(a) for a in anchor]
+                for j, hj in zip(others, h):
+                    x[j] = x[j] + hj
+                y = [_evaluate_exactly(form, x) for form in g.forms]
+                h2 = max(hj.norm() for hj in h)
+                # |y_i / y_c - p_i|^2 <= |h|^2 / 4, with y_c != 0
+                if y[c].norm() == 0 or any(
+                    4 * (y[i] - y[c] * Gauss(anchor[i])).norm() > h2 * y[c].norm()
+                    for i in others
+                ):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["f", "power", "quad", "shifted"])
+def test_every_trap_halves_distances_exactly(name):
+    f = {"f": f_map, "power": power_map, "quad": quad_map, "shifted": shifted_map}[name]()
+    T = targets_for(name)
+    rng = np.random.default_rng(5)
+    expected = {"f": ["1/4"] * 3, "power": ["1/2"] * 3, "quad": ["1/4"], "shifted": ["1/8"] * 2}
+    assert [str(r) for _, r in sorted(T.traps.items())] == expected[name]
+    for i, r in T.traps.items():
+        assert all(p.exact for p in T.cycles[i]) and T.superattracting(i)
+        assert _halves_distances(f, T.cycles[i], r, rng)
+    if name == "f":  # twice the certified radius is too much somewhere
+        assert not all(_halves_distances(f, T.cycles[i], 2 * r, rng) for i, r in T.traps.items())
+
+
+@pytest.mark.parametrize("name, res", [("f", 64), ("power", 48), ("quad", 64), ("shifted", 64)])
+def test_traps_only_confirm_earlier(name, res):
+    # the trapless window rule is the oracle: every verdict, label and tail
+    # measurement stays, a trapped orbit is confirmed no later, and its
+    # distance at entry is within the trap radius
+    f = {"f": f_map, "power": power_map, "quad": quad_map, "shifted": shifted_map}[name]()
+    T, bare, cfg = targets_for(name), trapless(name), resolve(None)
+    assert T.traps
+    spec = SliceSpec.default(f.k, width=res, height=res)
+    coords = spec.grid()
+    trapped = fatou._orbit_kernel(f, coords, T, cfg.max_orbit_iters, cfg)
+    oracle = fatou._orbit_kernel(f, coords, bare, cfg.max_orbit_iters, cfg)
+    for j in (0, 3, 4, 5):  # cycle, overflow, component, tail distance
+        assert trapped[j].tobytes() == oracle[j].tobytes()
+    assert np.array_equal(fatou._accumulates(trapped, cfg), fatou._accumulates(oracle, cfg))
+    cycle_idx, steps, dist = trapped[:3]
+    converged = cycle_idx >= 0
+    assert (steps[converged] <= oracle[1][converged]).all()
+    in_trap = np.isin(cycle_idx, list(T.traps))
+    assert in_trap.any()
+    radius = np.array([float(T.traps.get(int(i), 0)) for i in cycle_idx[in_trap]])
+    assert (dist[in_trap] <= radius).all()
+    assert np.array_equal(render_slice(f, spec, T).labels, render_slice(f, spec, bare).labels)
+
+
+def test_traps_cut_the_orbit_steps_of_f():
+    # work, counted in steps rather than timed: f's basins are confirmed at
+    # a third of the trapless steps or less
+    spec = SliceSpec.default(2, width=64, height=64)
+    steps = {
+        name: int(render_slice(f_map(), spec, T).iterations.sum())
+        for name, T in (("traps", targets_for("f")), ("trapless", trapless("f")))
+    }
+    assert 3 * steps["traps"] <= steps["trapless"], steps
+
+
+def test_a_trap_needs_a_vanishing_differential():
+    # z -> z^2 + z/8 halves |z| near 0, but its fixed point is only attracting:
+    # no trap, though the radius bound alone would allow r = 1/4
+    attracting = endo_new([P2("z^2 + 1/8*z*w"), P2("w^2")])
+    assert dynamics._trap_radius(attracting, pt(0, 1)) is None
+    assert dynamics._trap_radius(endo_new([P2("z^2"), P2("w^2")]), pt(0, 1)) == Fraction(1, 2)
+
+
+def test_a_trap_holds_no_other_target_point():
+    # quadratic's infinity gets r = 1/4; a listed point at |w/z| = 0.2 halves
+    # it to 1/8, and a second copy of infinity leaves the cycle no trap
+    T = targets_for("quad")
+    (i,) = T.traps
+    assert T.traps[i] == Fraction(1, 4)
+    near = [ProjPoint.inexact([1, 0.2])]
+    for extra, radius in ((near, Fraction(1, 8)), (T.cycles[i], None)):
+        cycles = T.cycles + [extra]
+        classifications = T.classifications + [T.classifications[i]]
+        traps = dynamics.trapping_radii(quad_map(), cycles, classifications)
+        assert traps.get(i) == radius

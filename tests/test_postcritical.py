@@ -342,3 +342,40 @@ def test_omega_limit_checks_the_cycle_identity(monkeypatch):
     monkeypatch.setattr(g, "cycles", lambda: cycles[1:])  # one cycle lost
     with pytest.raises(SolverError, match="union of the graph's cycles"):
         omega_limit(g)
+
+
+@pytest.mark.parametrize(
+    "name, walks",
+    [("f", 2), ("power", 2), ("g3", 2), ("g4", 2), ("quad", 1), ("lattes", 1)],
+)
+def test_classify_walks_each_orbit_graph_once(monkeypatch, name, walks):
+    # one graph per level, and the cycle verification and omega_limit share
+    # that graph's one walk
+    f = {
+        "f": f_map,
+        "power": power_map,
+        "g3": lambda: g_map(3),
+        "g4": lambda: g_map(4),
+        "quad": quad_map,
+        "lattes": lattes_map,
+    }[name]()
+    calls = []
+    walk = OrbitGraph._walk_cycles
+
+    def spy(self):
+        calls.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(OrbitGraph, "_walk_cycles", spy)
+    report = classify(f)
+    graphs = [lvl.graph for lvl in report.levels.values() if lvl.graph is not None]
+    assert len(calls) == walks == len(graphs)
+    assert [id(g) for g in calls] == [id(g) for g in graphs]
+
+
+def test_cycle_list_follows_the_edges():
+    g = OrbitGraph([Component.of_point(pt(1, 0)), Component.of_point(pt(0, 1))], 1e-8)
+    g.nodes[0].image, g.nodes[1].image = 0, 1
+    assert g.cycles() == [(0,), (1,)]
+    g.nodes[0].image, g.nodes[1].image = 1, 0
+    assert g.cycles() == [(0, 1)]

@@ -313,17 +313,17 @@ def curve_residual(poly: HomogPoly, point: ProjPoint) -> float:
     return abs(poly.evaluate(hat)) / poly.l1_norm
 
 
-def contains(s: AlgebraicSet, p: ProjPoint, tol: float | None = None, cfg: Config | None = None) -> Membership:
+def contains(s: AlgebraicSet, p: ProjPoint, cfg: Config | None = None) -> Membership:
     """Tri-state membership of a point in a set.
 
     Exact point against an exact curve or point is decided exactly.
     Otherwise the residual (curves) or chordal distance (points) is compared
-    against ``tol``: below means IN, above ``ambiguity_factor * tol`` means
-    OUT, and the band in between is reported as UNDECIDED rather than
-    guessed.
+    against ``residual_tol``: below means IN, above ``ambiguity_factor``
+    times it means OUT, and the band in between is reported as UNDECIDED
+    rather than guessed.
     """
     cfg = resolve(cfg)
-    tol = cfg.residual_tol if tol is None else tol
+    tol = cfg.residual_tol
     undecided = False
     for comp in s.components:
         if comp.kind == "curve":

@@ -19,6 +19,8 @@ points, real or complex, go through the floating elimination pipeline.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .config import Config, resolve
@@ -83,11 +85,15 @@ def ramification_bound(report: ClassificationReport, order: int) -> int:
 
 @dataclass
 class PreimageNode:
-    """One backward-orbit point; multiplicity is its local fiber degree."""
+    """One backward-orbit point; multiplicity is its local fiber degree.
+
+    ``image`` is f(point), kept from the fiber check (None at the root).
+    """
 
     point: ProjPoint
     multiplicity: int
     depth: int
+    image: ProjPoint | None = None
     children: list["PreimageNode"] = field(default_factory=list)
 
 
@@ -162,8 +168,8 @@ def preimage_tree(
                     f"could not certify the fiber over {parent.point} "
                     f"(depth {level}): {exc}"
                 ) from exc
-            for child_point, mult in fiber:
-                child = PreimageNode(child_point, mult, level)
+            for child_point, mult, image in fiber:
+                child = PreimageNode(child_point, mult, level, image)
                 parent.children.append(child)
                 next_frontier.append(child)
             total = sum(c.multiplicity for c in parent.children)
@@ -205,8 +211,8 @@ def _tree_depth(f: Endomorphism, q: ProjPoint, depth: int | None, cfg: Config) -
 
 def _fiber(
     f: Endomorphism, y: ProjPoint, cfg: Config
-) -> list[tuple[ProjPoint, int]]:
-    """All preimages of one point with multiplicities summing to deg^k.
+) -> list[tuple[ProjPoint, int, ProjPoint]]:
+    """The fiber over y as (point, multiplicity, image) triples, multiplicities summing to deg^k.
 
     The minors y_p * f_o - y_o * f_p, for the largest coordinate p and each
     other o, vanish together exactly on the fiber.  An exact parent gives
@@ -233,11 +239,13 @@ def _fiber(
     else:
         A, B = (InexactForm.combination(yp, f.forms[o], -y.coords[o], f.forms[p]) for o in others)
         fiber = solve_form_pair_inexact(A, B, cfg)
-    for x, _mult in fiber:
+    checked = []
+    for x, mult in fiber:
         image = f(x)
         if not image.is_close(y, cfg.residual_tol):
             raise SolverError(f"fiber point {x} misses its parent {y} by {image.chordal(y):.2e}")
-    return fiber
+        checked.append((x, mult, image))
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +363,7 @@ def check_bounded_ramification(
     cert = RamificationCertificate(
         root=tree.root.point, depth=tree.depth, order=order, bound=bound, stratum_bounds=bounds
     )
-    # a node at level i lies on deg^(k*(depth-i)) paths: test it only once
-    memberships: dict[int, tuple[Membership, Membership | None]] = {}
-    for path in tree.paths():
-        record = _audit_path(tree.f, path, C1, order2_points, memberships, cert, cfg)
+    for record in _audited_paths(tree, C1, order2_points, cert.diagnostics, cfg):
         cert.paths.append(record)
         if record.undecided:
             continue
@@ -405,71 +410,58 @@ def _root_excluded(cert: RamificationCertificate, excluded: AlgebraicSet, cfg: C
     return membership is not Membership.OUT
 
 
-def _audit_path(
-    f: Endomorphism,
-    path: list[PreimageNode],
+def _audited_paths(
+    tree: PreimageTree,
     C1: AlgebraicSet,
     order2_points: AlgebraicSet | None,
-    memberships: dict[int, tuple[Membership, Membership | None]],
-    cert: RamificationCertificate,
+    diagnostics: list[str],
     cfg: Config,
-) -> PathRecord:
-    passages: list[PassageRecord] = []
-    undecided = False
-    for node in path[1:]:
-        if id(node) not in memberships:
-            m1, m2 = contains(C1, node.point, cfg=cfg), None
-            if m1 is Membership.IN and order2_points is not None and not order2_points.is_empty:
-                m2 = contains(order2_points, node.point, cfg=cfg)
-            memberships[id(node)] = m1, m2
-        m1, m2 = memberships[id(node)]
-        if m1 is Membership.UNDECIDED:
-            undecided = True
-            cert.diagnostics.append(
-                f"critical membership of {node.point} (depth {node.depth}) is "
-                "ambiguous at the working tolerance"
-            )
-            continue
-        if m1 is Membership.OUT:
-            continue
-        stratum = 1
-        if m2 is not None:
-            if m2 is Membership.UNDECIDED:
-                undecided = True
-                cert.diagnostics.append(
-                    f"order-2 membership of {node.point} (depth {node.depth}) "
-                    "is ambiguous at the working tolerance"
+) -> Iterator[PathRecord]:
+    """Each root-to-leaf path's record, in ``tree.paths()`` order.
+
+    One depth-first walk tests each node's memberships once and carries its
+    path's passages and ambiguity notes down.  A leaf appends its path's
+    notes to ``diagnostics`` and checks that f^depth maps it back to the
+    root, starting from the image its fiber check computed.
+    """
+    stratified = order2_points is not None and not order2_points.is_empty
+    f, root = tree.f, tree.root.point
+
+    def walk(node: PreimageNode, passages: list, notes: list, undecided: bool):
+        if not node.children:
+            diagnostics.extend(notes)
+            x = node.image
+            for _ in range(node.depth - 1):
+                x = f(x)
+            residual = x.chordal(root)
+            if residual > _PATH_RESIDUAL_TOL:
+                raise SolverError(
+                    f"leaf {node.point} does not map back to the root under f^{node.depth} "
+                    f"(residual {residual:.2e})"
                 )
-            elif m2 is Membership.IN:
-                stratum = 2
-        passages.append(PassageRecord(node.depth, node.point, stratum))
-    counts: dict[int, int] = {}
-    for p in passages:
-        counts[p.stratum] = counts.get(p.stratum, 0) + 1
-    leaf = path[-1].point
-    residual = _forward_residual(f, leaf, len(path) - 1, path[0].point)
-    if residual > _PATH_RESIDUAL_TOL:
-        raise SolverError(
-            f"leaf {leaf} does not map back to the root under f^{len(path) - 1} "
-            f"(residual {residual:.2e})"
-        )
-    return PathRecord(
-        leaf=leaf,
-        passages=passages,
-        stratum_counts=counts,
-        total=len(passages),
-        undecided=undecided,
-        forward_residual=residual,
-    )
+            counts = dict(Counter(p.stratum for p in passages))
+            yield PathRecord(node.point, list(passages), counts, len(passages), undecided, residual)
+            return
+        for child in node.children:
+            here, band = passages, None
+            m1 = contains(C1, child.point, cfg=cfg)
+            if m1 is Membership.UNDECIDED:
+                band = "critical"
+            elif m1 is Membership.IN:
+                m2 = contains(order2_points, child.point, cfg=cfg) if stratified else None
+                band = "order-2" if m2 is Membership.UNDECIDED else None
+                stratum = 2 if m2 is Membership.IN else 1
+                here = passages + [PassageRecord(child.depth, child.point, stratum)]
+            if band is None:
+                yield from walk(child, here, notes, undecided)
+            else:
+                note = (
+                    f"{band} membership of {child.point} (depth {child.depth}) is "
+                    "ambiguous at the working tolerance"
+                )
+                yield from walk(child, here, notes + [note], True)
 
-
-def _forward_residual(
-    f: Endomorphism, leaf: ProjPoint, steps: int, root: ProjPoint
-) -> float:
-    x = leaf
-    for _ in range(steps):
-        x = f(x)
-    return x.chordal(root)
+    return walk(tree.root, [], [], False)
 
 
 # ---------------------------------------------------------------------------

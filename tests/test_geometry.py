@@ -159,13 +159,13 @@ def test_contains_is_exact_for_exact_data():
 
 def test_contains_tri_state_band():
     s = AlgebraicSet([Component.curve(poly_parse("z", 3))])
-    tol = 1e-10
+    cfg = Config(residual_tol=1e-10)
     near = ProjPoint.inexact([5e-11, 1.0, 0.0])
     band = ProjPoint.inexact([5e-10, 1.0, 0.0])
     far = ProjPoint.inexact([5e-9, 1.0, 0.0])
-    assert contains(s, near, tol) is Membership.IN
-    assert contains(s, band, tol) is Membership.UNDECIDED
-    assert contains(s, far, tol) is Membership.OUT
+    assert contains(s, near, cfg=cfg) is Membership.IN
+    assert contains(s, band, cfg=cfg) is Membership.UNDECIDED
+    assert contains(s, far, cfg=cfg) is Membership.OUT
 
 
 def test_contains_invariant_under_rescaling():

@@ -1,6 +1,8 @@
 """What importing critfin does to the host's garbage collector, and what it imports."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import critfin
@@ -86,3 +88,16 @@ def test_candidate_roots_take_complex_coefficients(monkeypatch):
     p = poly_parse("(z - w)*(2*z + 3*w)*(z^2 - 2*w^2)*(z^2 + w^2)*(z^3 - 5*w^3)", 2)
     assert factor(p).reassemble() == p
     assert dtypes and all(dt.kind == "c" for dt in dtypes)
+
+
+def test_traced_benchmark_targets_still_resolve():
+    # the benchmark's tracer wraps these functions by name in every traced
+    # child; a renamed or deleted one would make its install fail
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(module, name) for module, names in tracer.TARGETS.items() for name in names]
+    assert len(names) == 16
+    for module, name in names:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)

@@ -10,7 +10,7 @@ from critfin.cli import load_map
 from critfin.config import Config
 from critfin.dynamics import endo_new
 from critfin.errors import BudgetError, InputError, SolverError
-from critfin.geometry import AlgebraicSet, Component, ProjPoint
+from critfin.geometry import AlgebraicSet, Component, Membership, ProjPoint
 from critfin.postcritical import classify
 from critfin.ramification import (
     certify_ramification,
@@ -465,3 +465,109 @@ def test_audit_tests_each_tree_node_once(monkeypatch):
     # twice, against the excluded locus and the stabilized order-2 locus
     assert len(cert.paths) == 64
     assert len(calls) == 84 + 2
+
+
+@pytest.mark.parametrize(
+    "fixture, root, depth, nodes, f_calls",
+    [("f", (2, 3, 5), 3, 84, 128), ("lattes4", (1, 3), 4, 340, 768)],
+)
+def test_audit_starts_each_residual_from_the_fiber_image(monkeypatch, fixture, root, depth, nodes, f_calls):
+    import critfin.ramification as ramification
+    from critfin.dynamics import Endomorphism
+
+    f = load_map(fixture)[0]
+    report = classify(f, order=min(f.k, 2))
+    C1 = report.level(1).C
+    order2 = report.level(2).C if f.k == 2 else None
+    tree = preimage_tree(f, pt(*root), depth)
+    counts = {"f": 0, "C1": 0}
+    real_call, real_contains = Endomorphism.__call__, ramification.contains
+
+    def call(self, x):
+        counts["f"] += 1
+        return real_call(self, x)
+
+    def contains(s, p, cfg=None):
+        counts["C1"] += s is C1
+        return real_contains(s, p, cfg=cfg)
+
+    monkeypatch.setattr(Endomorphism, "__call__", call)
+    monkeypatch.setattr(ramification, "contains", contains)
+    cert = check_bounded_ramification(tree, C1, 2, order2_points=order2)
+    leaves = tree.level(depth)
+    assert len(cert.paths) == len(leaves)
+    # the fiber check already applied f once to every leaf
+    assert counts["f"] == f_calls == len(leaves) * (depth - 1)
+    # every non-root node is tested against the critical set exactly once
+    assert counts["C1"] == nodes == sum(len(tree.level(j)) for j in range(1, depth + 1))
+
+
+#: diagnostics and per-path undecided flags of two certificates whose band
+#: nodes lie on several paths, recorded when the audit still walked each path
+#: on its own: a band node's note comes once per path through it, in path
+#: order, and a violation line follows its own path's notes
+_AMBIGUOUS = "is ambiguous at the working tolerance"
+_FORCED_BAND = {
+    "quadratic": (
+        [
+            f"critical membership of [2 : 1] (depth 2) {_AMBIGUOUS}",
+            f"critical membership of [2 : 1] (depth 2) {_AMBIGUOUS}",
+            "bound violated along the backward orbit ending at [0 : 1]: 1 passages at "
+            "[0 : 1] (depth 3)",
+            f"critical membership of [2 : -1] (depth 1) {_AMBIGUOUS}",
+            f"critical membership of [2 : -1] (depth 1) {_AMBIGUOUS}",
+            "4 of 5 paths undecided at the working tolerance and excluded from the verdict",
+        ],
+        [True, True, False, True, True],
+        "violation",
+    ),
+    "f": (
+        [
+            f"critical membership of [1+0j : 0.714712+0j : 0.92269+0j]~ (depth 1) {_AMBIGUOUS}",
+            f"order-2 membership of [1+0j : -0.628027+0j : -0.713576+0j]~ (depth 2) {_AMBIGUOUS}",
+            f"critical membership of [1+0j : 0.714712+0j : 0.92269+0j]~ (depth 1) {_AMBIGUOUS}",
+            f"critical membership of [1+0j : 0.714712+0j : 0.92269+0j]~ (depth 1) {_AMBIGUOUS}",
+            f"critical membership of [1+0j : 0.714712+0j : 0.92269+0j]~ (depth 1) {_AMBIGUOUS}",
+            "4 of 16 paths undecided at the working tolerance and excluded from the verdict",
+        ],
+        [False] * 4 + [True] * 4 + [False] * 8,
+        "all-within-bound",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", ["quadratic", "f"])
+def test_band_nodes_on_shared_paths_keep_their_diagnostics_order(monkeypatch, fixture):
+    import critfin.ramification as ramification
+
+    f = load_map(fixture)[0]
+    report = classify(f, order=min(f.k, 2))
+    C1 = report.level(1).C
+    if f.k == 1:
+        # [2 : 1] at depth 2 and [2 : -1] at depth 1 fall in the band; the
+        # decided path through the critical point breaks the bound 0
+        tree = preimage_tree(f, pt(2, 1), 3)
+        first, second = tree.root.children[0].children[0], tree.root.children[1]
+        kwargs = {"bound": 0}
+    else:
+        # a depth-1 node falls in the critical band, and its first child is
+        # critical but falls in the order-2 band
+        tree = preimage_tree(f, pt(2, 3, 5), 2)
+        second = tree.root.children[1]
+        first = second.children[0]
+        kwargs = {"bound": 2, "stratum_bounds": {1: 1, 2: 1}, "order2_points": report.level(2).C}
+    real = ramification.contains
+
+    def contains(s, p, cfg=None):
+        if p is first.point and f.k == 2:
+            return Membership.IN if s is C1 else Membership.UNDECIDED
+        if p is first.point or p is second.point:
+            return Membership.UNDECIDED
+        return real(s, p, cfg=cfg)
+
+    monkeypatch.setattr(ramification, "contains", contains)
+    cert = check_bounded_ramification(tree, C1, **kwargs)
+    diagnostics, undecided, verdict = _FORCED_BAND[fixture]
+    assert cert.diagnostics == diagnostics
+    assert [rec.undecided for rec in cert.paths] == undecided
+    assert cert.verdict == verdict

@@ -37,3 +37,25 @@ def test_bundled_map_files_match_the_map_schema():
     for name in names:
         text = (resources.files("critfin") / "fixtures" / f"{name}.json").read_text()
         validator.validate(json.loads(text))
+
+
+#: the first root of the benchmark's seeded pool, per dimension
+_POOL_ROOT = {1: "7,5", 2: "1,9,1"}
+
+
+@pytest.mark.parametrize(
+    "fixture, point",
+    [(fx, None) for fx in ("f", "power", "quadratic", "lattes4", "g3", "g4")]
+    + [("power", "0,1,2")],  # on a critical cycle curve: not-applicable, no paths
+)
+def test_certificates_match_the_certificate_schema(fixture, point, capsys):
+    f, _ = cli.load_map(fixture)
+    point = point or _POOL_ROOT[f.k]
+    argv = ["certify-ramification", fixture, "--point", point, "--depth", "1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    cert = json.loads(capsys.readouterr().out)
+    validator = _validator("certificate.schema.json")
+    validator.validate(cert)
+    assert (cert["verdict"] == "not-applicable") == (point == "0,1,2")
+    # a field the schema does not name is refused
+    assert not validator.is_valid({**cert, "seed": 0})

@@ -19,7 +19,9 @@ _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
     # load every submodule here; the imports below only bind names
-    from . import algebra, config, dynamics, errors, fatou, geometry, postcritical, ramification
+    from . import (
+        algebra, config, dynamics, errors, fatou, geometry, orbits, postcritical, ramification
+    )
 finally:
     gc.freeze()
     if _gc_was_enabled:

@@ -14,7 +14,9 @@ import pytest
 
 import critfin.dynamics as dynamics
 import critfin.fatou as fatou
+import critfin.orbits as orbits
 from critfin.algebra import poly_parse
+from critfin.cli import load_map
 from critfin.config import Config, resolve
 from critfin.dynamics import Endomorphism, endo_new, find_periodic, iterate
 from critfin.errors import InputError
@@ -34,6 +36,7 @@ from critfin.fatou import (
     write_ppm,
 )
 from critfin.geometry import ProjPoint
+from orbit_oracle import tile_kernel_per_step
 
 P3 = lambda s: poly_parse(s, 3)
 P2 = lambda s: poly_parse(s, 2)
@@ -67,18 +70,18 @@ def pt(*coords):
 # target sets are the expensive part of the suite; periodic-point solving is
 # deterministic, so one copy per map serves every test
 _TARGETS = {}
+_MAPS = {
+    "f": f_map,
+    "power": power_map,
+    "quad": quad_map,
+    "lattes": lattes_map,
+    "shifted": shifted_map,
+}
 
 
 def targets_for(name):
     if name not in _TARGETS:
-        builders = {
-            "f": f_map,
-            "power": power_map,
-            "quad": quad_map,
-            "lattes": lattes_map,
-            "shifted": shifted_map,
-        }
-        _TARGETS[name] = build_targets(builders[name]())
+        _TARGETS[name] = build_targets(_MAPS[name]())
     return _TARGETS[name]
 
 
@@ -1139,3 +1142,151 @@ def test_a_trap_holds_no_other_target_point():
         classifications = T.classifications + [T.classifications[i]]
         traps = dynamics.trapping_radii(quad_map(), cycles, classifications)
         assert traps.get(i) == radius
+
+
+# ---------------------------------------------------------------------------
+# the checkpoint schedule of the window screening
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("center, res", [((0.0, 0.0), 64), ((0.3, -0.2), 48)])
+@pytest.mark.parametrize(
+    "tol, window, max_iter",
+    [(1e-8, 10, 500), (1e-5, 7, 300), (1e-3, 3, 200), (1e-2, 2, 100), (1e-8, 1, 60)],
+)
+@pytest.mark.parametrize("traps", [True, False], ids=["trapped", "trapless"])
+@pytest.mark.parametrize("name", ["f", "power", "quad", "lattes"])
+def test_the_checkpoint_schedule_matches_the_per_step_kernel(
+    name, traps, tol, window, max_iter, center, res
+):
+    f = _MAPS[name]()
+    T = targets_for(name) if traps else trapless(name)
+    cfg = resolve(None).with_overrides(convergence_tol=tol, convergence_window=window)
+    coords = SliceSpec.default(f.k, width=res, height=res, center=center).grid()
+    ours = orbits._tile_kernel(f, T, max_iter, cfg)(coords)
+    oracle = tile_kernel_per_step(f, T, max_iter, cfg)(coords)
+    for a, b in zip(ours, oracle):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if name == "lattes" and window == 2:
+        # lattes converges only by the window, and at P = 2 each such pixel
+        # is first found near its cycle at a checkpoint, which replays
+        assert (ours[0] >= 0).any()
+
+
+def _screened(monkeypatch, f, spec, T, max_iter):
+    """Columns screened against the window cycles, and trap screens, in one render."""
+    window_tol = resolve(None).convergence_tol
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)
+    counts = {"window columns": 0, "trap screens": 0}
+    nearest = orbits._nearest_cycle
+
+    def spy(coords, charts, tol):
+        if tol == window_tol:
+            counts["window columns"] += coords.shape[1]
+        else:
+            counts["trap screens"] += 1
+        return nearest(coords, charts, tol)
+
+    monkeypatch.setattr(orbits, "_nearest_cycle", spy)
+    render_slice(f, spec, T, max_iter=max_iter)
+    return counts
+
+
+def test_the_window_cycles_are_screened_once_per_window(monkeypatch):
+    # every step screened every live column: 8,192,000 columns on lattes
+    # 128x128 at 500 steps, and 636,536 on f 512x512
+    lattes = _screened(monkeypatch, lattes_map(), SliceSpec.default(1), targets_for("lattes"), 500)
+    assert lattes["window columns"] <= 50 * 128 * 128
+    f = _screened(
+        monkeypatch, f_map(), SliceSpec.default(2, width=512, height=512), targets_for("f"), 500
+    )
+    assert f["window columns"] < 6365
+    assert f["trap screens"] == 222
+
+
+@pytest.mark.parametrize("name", ["f", "power", "quad", "lattes", "shifted"])
+def test_every_fixture_target_set_is_apart(name):
+    charts = orbits._anchor_charts(targets_for(name).cycles)
+    for tol in (resolve(None).convergence_tol, 1e-2):
+        assert orbits._cycles_apart(charts, tol)
+
+
+def _moved_copies(cycles, shift):
+    """Each member of ``cycles`` moved by ``shift`` in a non-chart coordinate."""
+    for cycle in cycles:
+        for p in cycle:
+            v = np.asarray(p.to_complex(), dtype=complex)
+            chart = int(np.argmax(np.abs(v)))
+            v = v / v[chart]
+            v[(chart + 1) % len(v)] += shift
+            yield ProjPoint.inexact(list(v))
+
+
+@pytest.mark.parametrize("name", ["f", "lattes"])
+def test_close_cycles_are_not_apart(name):
+    T, tol = targets_for(name), resolve(None).convergence_tol
+    apart = lambda cycles, at=tol: orbits._cycles_apart(orbits._anchor_charts(cycles), at)
+    for i in range(len(T.cycles)):
+        assert not apart(T.cycles + [T.cycles[i]])
+    for moved in _moved_copies(T.cycles, 2 * tol):
+        assert not apart(T.cycles + [[moved]])
+    for at in (np.nextafter(0.01, 1.0), 0.5):
+        assert not apart(T.cycles, at) and not apart(T.cycles[:1], at)
+
+
+def test_close_cycles_are_screened_on_every_step(monkeypatch):
+    T = targets_for("lattes")
+    moved = next(_moved_copies(T.cycles, 2 * resolve(None).convergence_tol))
+    close = TargetSet(T.cycles + [[moved]], T.classifications + [T.classifications[0]])
+    spec = SliceSpec.default(1, width=32, height=32)
+    # no lattes orbit converges at the default tolerance: 1024 live columns
+    # on each of 30 steps, or on each of 3 checkpoints
+    for targets, screens in ((close, 30), (T, 3)):
+        counts = _screened(monkeypatch, lattes_map(), spec, targets, 30)
+        assert counts["window columns"] == screens * 1024
+    cfg = resolve(None)
+    coords = spec.grid()
+    ours = orbits._tile_kernel(lattes_map(), close, 120, cfg)(coords)
+    oracle = tile_kernel_per_step(lattes_map(), close, 120, cfg)(coords)
+    for a, b in zip(ours, oracle):
+        assert a.tobytes() == b.tobytes()
+
+
+def _divided_and_multiplied(img, m):
+    return (img / m).tobytes(), (img * (1.0 / m)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["f", "g3", "g4", "lattes4", "power", "quadratic"])
+def test_the_reciprocal_normalizes_as_the_division_does(name):
+    f, _ = load_map(name)
+    terms = orbits._form_terms(f.forms)
+    rng = np.random.default_rng(17)
+    lifts = rng.normal(size=(f.k + 1, 2048)) + 1j * rng.normal(size=(f.k + 1, 2048))
+    lifts /= np.abs(lifts).max(axis=0)
+    for _ in range(20):
+        img = orbits._eval_forms(terms, lifts)
+        m = np.abs(img).max(axis=0)
+        divided, multiplied = _divided_and_multiplied(img, m)
+        assert divided == multiplied
+        lifts = img / m
+
+
+def test_the_reciprocal_is_exact_on_planted_columns():
+    # zero real or imaginary parts (never -0, which img cannot hold), a frozen
+    # column, subnormal maxima whose reciprocal overflows, and near-overflow
+    # maxima whose reciprocal is subnormal
+    tiny, huge = 5e-324, 1.5e308
+    img = np.array(
+        [
+            [0j, complex(0, 0.5), 0.25, complex(0.3, -0.7), tiny, complex(0, 3 * tiny), huge],
+            [complex(0.5, 0.5), 0j, complex(0, -1), 1.0, 2 * tiny, complex(tiny, tiny), 1e308],
+        ]
+    )
+    img = np.hstack([img, [[complex(0, -0.75e308)], [complex(0, -huge)]]])
+    assert not np.signbit(img.view(float)[img.view(float) == 0]).any()
+    m = np.abs(img).max(axis=0)
+    m[3] = 1.0  # a frozen column
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(1.0 / m).sum() == 2 and (1.0 / m[6:] < np.finfo(float).tiny).all()
+        divided, multiplied = _divided_and_multiplied(img, m)
+    assert divided == multiplied

@@ -47,7 +47,7 @@ from .dynamics import (
 )
 from .errors import InputError
 from .geometry import Component, ProjPoint, same_component
-from .orbits import _anchor_charts, _nearest_cycle, _tile_kernel
+from .orbits import _anchor_charts, _nearest_cycle, _render_tiles, _tile_kernel
 from .postcritical import ClassificationReport, classify
 
 CONVERGED = "converged"
@@ -524,9 +524,9 @@ class SliceSpec:
         affine.insert(self.chart, 1.0 + 0.0j)
         return ProjPoint.inexact(affine)
 
-    def columns(self, lo: int, hi: int) -> np.ndarray:
-        """Pixel-center lifts of pixels lo..hi-1 (row-major) as a (k+1, hi-lo) array."""
-        row, col = np.divmod(np.arange(lo, hi), self.width)
+    def columns(self, ids: np.ndarray) -> np.ndarray:
+        """Pixel-center lifts of the row-major pixel ids as a (k+1, ids.size) array."""
+        row, col = np.divmod(ids, self.width)
         u, v = self.params(col, row)
         rows = [b + u * du + v * dv for b, du, dv in zip(self.base, self.dir_u, self.dir_v)]
         rows.insert(self.chart, np.ones(u.size, dtype=complex))
@@ -534,7 +534,7 @@ class SliceSpec:
 
     def grid(self) -> np.ndarray:
         """All pixel-center lifts as one (k+1, width*height) array, row-major."""
-        return self.columns(0, self.width * self.height)
+        return self.columns(np.arange(self.width * self.height))
 
 
 @dataclass
@@ -596,7 +596,10 @@ def render_slice(
     part of a tile) at a time and reduced to labels and iteration counts at
     once, so memory is O(tile) plus those two per pixel.  The tiles run on
     every usable CPU; a render of fewer tiles than CPUs, such as the default
-    128x128 (one tile), cuts each tile into parts.
+    128x128 (one tile), cuts each tile into parts.  When the map and the
+    slice commute with the column mirror (``orbits._column_mirror``), the
+    map is evaluated once per mirror pair of pixels in a tile or part, and
+    every pixel still gets the label and count it gets alone.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter
@@ -605,13 +608,11 @@ def render_slice(
     if len(spec.base) != f.k:
         raise InputError(f"the slice lives in P^{len(spec.base)}, the map on P^{f.k}")
 
-    run = _tile_kernel(f, targets, max_iter, cfg)
     m = len(targets.cycles)
 
-    def classify_tile(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        out = run(spec.columns(lo, hi))
+    def classify(out: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
         cycle_idx, conv_iter = out[:2]
-        labels = np.zeros(hi - lo, dtype=np.int16)
+        labels = np.zeros(cycle_idx.size, dtype=np.int16)
         converged = cycle_idx >= 0
         labels[converged] = (cycle_idx[converged] + 1).astype(np.int16)
         labels[_accumulates(out, cfg)] = m + 1
@@ -620,7 +621,7 @@ def render_slice(
     n_pix = spec.width * spec.height
     labels = np.empty(n_pix, dtype=np.int16)
     iterations = np.empty(n_pix, dtype=np.int32)
-    _run_tiles(classify_tile, (labels, iterations))
+    _run_tiles(_render_tiles(f, spec, targets, max_iter, cfg, classify), (labels, iterations))
 
     legend = _legend_for(targets)
     summary = {
@@ -646,7 +647,7 @@ def write_ppm(image: BasinImage, path) -> None:
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(rgb.tobytes())
+        fh.write(rgb)  # the array's own buffer: no copy beside it
 
 
 def write_legend(image: BasinImage, path) -> None:

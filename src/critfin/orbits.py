@@ -9,7 +9,9 @@ components.  Every product has one fixed order (see ``_eval_terms``), so a
 column's bits do not depend on the columns run with it.  The window cycles
 are screened once per window: an orbit first found near one at a checkpoint
 replays its steps since the last checkpoint, so its streak counts exactly as
-if every step had been screened.
+if every step had been screened.  A render whose map and slice commute with
+the column mirror evaluates the map once per mirror pair of pixels (see
+``_column_mirror``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import InputError
 from .geometry import Component, HomogPoly, ProjPoint
 
 if TYPE_CHECKING:
-    from .fatou import TargetSet
+    from .fatou import SliceSpec, TargetSet
 
 
 def _form_terms(forms: Sequence[HomogPoly]) -> list[list[tuple[tuple[int, ...], complex]]]:
@@ -55,8 +57,9 @@ def _eval_terms(terms: list[tuple[tuple[int, ...], complex]], coords: np.ndarray
     return acc
 
 
-def _eval_forms(all_terms: list[list], coords: np.ndarray) -> np.ndarray:
-    out = np.empty((len(all_terms), coords.shape[1]), dtype=complex)
+def _eval_forms(all_terms: list[list], coords: np.ndarray, out: np.ndarray | None = None):
+    if out is None:
+        out = np.empty((len(all_terms), coords.shape[1]), dtype=complex)
     for i, terms in enumerate(all_terms):
         out[i] = _eval_terms(terms, coords)
     return out
@@ -161,6 +164,56 @@ def _cycles_apart(charts: list, tol: float) -> bool:
     return tol <= 0.01 and not clash.any()
 
 
+def _column_mirror(f: Endomorphism, spec: SliceSpec, targets: TargetSet, cfg: Config):
+    """The exact symmetry pairing pixel (col, row) with (W-1-col, row), or None.
+
+    Returns the signs ``(s, eps, shared_orbit)``.  The u grid is symmetric
+    to the bit, s is 1 on the chart, and s_j conj(b_j) = b_j,
+    s_j conj(du_j) = -du_j and s_j conj(dv_j) = dv_j, so the mirror starts
+    at conj(s x).  The coefficients are real, eps_i = s^a on every term a of
+    F_i, and eps^a eps_i is one sign on every term of every form, so at every
+    step the mirror's lift is +-h of its partner's, h(y) = eps conj(y).
+    numpy's complex sums, products and integer powers below 100 keep this
+    bit for bit up to the signs of zeros, and no output of ``_tile_kernel``
+    sees those or the sign of a whole lift.  ``shared_orbit``: on a real
+    slice with eps = 1 the two orbits agree from step 1 on.
+
+    Refused also for a window under two steps, which could confirm an orbit
+    whose first image degenerates at its start lift, where the mirror's
+    differs, and for target cycles not apart, so that a clash is found where
+    it is found alone.
+    """
+    if cfg.convergence_window < 2:
+        return None
+    if not _cycles_apart(_anchor_charts(targets.cycles), cfg.convergence_tol):
+        return None
+    u = spec.params(np.arange(spec.width), 0)[0]
+    if (u[::-1] != -u).any():
+        return None
+    s = []
+    for b, du, dv in zip(spec.base, spec.dir_u, spec.dir_v):
+        fits = [
+            t for t in (1, -1)
+            if t * b.conjugate() == b and t * du.conjugate() == -du and t * dv.conjugate() == dv
+        ]
+        if not fits:
+            return None
+        s.append(fits[0])
+    s.insert(spec.chart, 1)
+    terms = _form_terms(f.forms)
+    if any(c.imag or max(e) >= 100 for form in terms for e, c in form):
+        return None
+    # the sign of the monomial x^e at x = signs
+    monomial = lambda signs, e: math.prod(signs[j] for j, ej in enumerate(e) if ej % 2)
+    eps = [monomial(s, form[0][0]) for form in terms]
+    if any(monomial(s, e) != eps[i] for i, form in enumerate(terms) for e, _ in form):
+        return None
+    if len({monomial(eps, e) * eps[i] for i, form in enumerate(terms) for e, _ in form}) > 1:
+        return None
+    real = not any(c.imag for c in spec.base + spec.dir_u + spec.dir_v)
+    return tuple(s), tuple(eps), real and min(eps) == 1
+
+
 def _component_probes(comps: list[Component]) -> list[tuple]:
     """What each component's distance needs, prepared once per kernel call.
 
@@ -199,13 +252,19 @@ def _component_distances(coords: np.ndarray, probes: list[tuple]) -> np.ndarray:
     return out
 
 
-def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config):
+def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config, flips=()):
     """The orbit kernel for one tile or part of a tile, as a function of its start lifts.
 
     ``run(tile)`` takes a (k+1, m) array, m at most ``fatou._TILE``, and
     returns the six per-column arrays ``fatou._orbit_kernel`` describes for
     those columns.  Each column's orbit is computed alone, so its bits do not
     depend on the other columns run with it.
+
+    ``run(tile, pairs)`` takes the columns as [partners | lone | mirrors],
+    the last ``pairs`` columns the mirror pixels of the first ``pairs`` under
+    a symmetry of ``_column_mirror`` whose h negates the rows ``flips``.  It
+    evaluates the map on the partners and the lone columns only, and returns
+    the same arrays as ``run(tile)``, in the tile's column order.
 
     The traps are screened on every step.  When ``_cycles_apart`` holds, the
     window cycles are screened on every column only at the checkpoints, the
@@ -226,17 +285,47 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
     probes = _component_probes(targets.components)
     tail_start = max_iter - window
 
-    def step(tile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The lifts' images at unit max-norm, and which stayed finite and nonzero."""
-        img = _eval_forms(terms, tile)
+    def step(tile: np.ndarray, pairs: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The lifts' images at unit max-norm, and which stayed finite and nonzero.
+
+        The last ``pairs`` columns mirror the first ``pairs``: their images
+        are h of their partners', conjugated with the rows ``flips`` negated,
+        and the map is evaluated on the other columns only.
+        """
+        n = tile.shape[1] - pairs
+        out = np.empty_like(tile)
+        img = _eval_forms(terms, tile[:, :n], out[:, :n])
         m = np.abs(img).max(axis=0)
         live = np.isfinite(m) & (m > 0.0)
         if not live.all():
-            img[:, ~live] = tile[:, ~live]  # freeze the last finite lift
+            img[:, ~live] = tile[:, :n][:, ~live]  # freeze the last finite lift
             m = np.where(live, m, 1.0)
         # numpy divides by m as by m + 0j, as (a + b*0) * (1/m); that differs
-        # from this product only in the sign of a zero, and img holds no -0
-        return img * (1.0 / m), live
+        # from this product only in the sign of a zero.  An evaluated image
+        # holds no -0, but a mirror's lift can, and a frozen lift keeps it; no
+        # output sees the sign of a zero
+        img *= 1.0 / m
+        if pairs:
+            mirror = out[:, n:]
+            np.conjugate(out[:, :pairs], out=mirror)
+            for i in flips:
+                np.negative(mirror[i], out=mirror[i])
+            live = np.concatenate([live, live[:pairs]])
+        return out, live
+
+    def kept(keep: np.ndarray, pairs: int) -> tuple[np.ndarray, int]:
+        """The kept columns in [partners | lone | mirrors] order, and the pairs left.
+
+        A pair that loses one member splits, and the survivor joins the lone
+        block.
+        """
+        n = keep.size - pairs
+        both = keep[:pairs] & keep[n:]
+        single = keep.copy()
+        single[:pairs] &= ~both
+        single[n:] &= ~both
+        twins = np.flatnonzero(both)
+        return np.concatenate([twins, np.flatnonzero(single), twins + n]), twins.size
 
     def count(streak, last, near):
         # a streak grows while the orbit stays near one cycle
@@ -245,14 +334,16 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
     def replay(snapshot, ids):
         """The streak and cycle of columns ``ids`` one step before a checkpoint."""
         snap_cols, snap_tile, snap_streak, snap_last = snapshot
-        at = np.searchsorted(snap_cols, ids)
+        # the pair blocks leave cols unsorted once a pair splits
+        order = np.argsort(snap_cols)
+        at = order[np.searchsorted(snap_cols, ids, sorter=order)]
         lift, streak, last = snap_tile[:, at], snap_streak[at], snap_last[at]
         for _ in range(period - 1):
             lift = step(lift)[0]
             streak, last = count(streak, last, _nearest_cycle(lift, charts, tol)[0])
         return streak, last
 
-    def run(tile: np.ndarray) -> tuple[np.ndarray, ...]:
+    def run(tile: np.ndarray, pairs: int = 0) -> tuple[np.ndarray, ...]:
         size = tile.shape[1]
         cycle_idx = np.full(size, -1, dtype=np.int64)
         conv_iter = np.zeros(size, dtype=np.int64)
@@ -262,8 +353,10 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
         comp_dist = np.full(size, np.inf)
 
         # live state: lifts, column ids, streak and the cycle it counts
-        # toward (-1 for an unwatched column); retired orbits are dropped
-        # from all four.  The snapshot is the state at the last checkpoint.
+        # toward (-1 for an unwatched column), in the order of the pair
+        # blocks; retired orbits are dropped from all four, and ``pairs``
+        # counts the pairs left.  The snapshot is the state at the last
+        # checkpoint.
         tile = tile / np.abs(tile).max(axis=0)
         cols = np.arange(size)
         streak = np.zeros(size, dtype=np.int64)
@@ -273,7 +366,7 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
         for it in range(1, max_iter + 1):
             if not cols.size:
                 break
-            tile, live = step(tile)
+            tile, live = step(tile, pairs)
             if not live.all():
                 overflow[cols[~live]] = it
 
@@ -287,7 +380,7 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
                     cycle_idx[rows] = np.take(trapped, near[done])
                     conv_iter[rows] = it
                     conv_dist[rows] = dist[done]
-                    keep = ~done
+                    keep, pairs = kept(~done, pairs)
                     tile, live, cols, streak, last = (
                         tile[:, keep], live[keep], cols[keep], streak[keep], last[keep]
                     )
@@ -310,7 +403,8 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
                     live[at[done]] = False
 
             if not live.all():
-                tile, cols, streak, last = tile[:, live], cols[live], streak[live], last[live]
+                keep, pairs = kept(live, pairs)
+                tile, cols, streak, last = tile[:, keep], cols[keep], streak[keep], last[keep]
             if checkpoint:
                 snapshot = (cols, tile, streak.copy(), last.copy())
             if probes and it > tail_start and cols.size:
@@ -323,3 +417,51 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
         return cycle_idx, conv_iter, conv_dist, overflow, comp_idx, comp_dist
 
     return run
+
+
+def _mirror_layout(width: int, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """Pixels lo..hi-1, row-major, as [partners | lone | mirrors], and the pair count.
+
+    Mirror i is the column mirror of partner i.  A pixel on the middle
+    column, or whose mirror lies outside lo..hi-1, is lone.
+    """
+    ids = np.arange(lo, hi)
+    mirror = ids + (width - 1 - 2 * (ids % width))
+    inside = (mirror >= lo) & (mirror < hi)
+    partner = inside & (mirror > ids)
+    alone = ~inside | (mirror == ids)
+    return np.concatenate([ids[partner], ids[alone], mirror[partner]]), int(partner.sum())
+
+
+def _render_tiles(
+    f: Endomorphism, spec: SliceSpec, targets: TargetSet, max_iter: int, cfg: Config, reduce
+):
+    """``work(lo, hi)`` for ``fatou._run_tiles``: ``reduce`` of pixels lo..hi-1's kernel arrays.
+
+    ``reduce`` maps ``run``'s six arrays to per-column arrays, which ``work``
+    returns in pixel order.  Under a ``_column_mirror`` symmetry a pixel
+    whose mirror lies in lo..hi-1 is paired with it: the map is evaluated
+    once per pair, or, in a shared orbit, the mirror takes its partner's
+    arrays.  Every pixel gets the arrays it gets alone.
+    """
+    mirror = _column_mirror(f, spec, targets, cfg)
+    if mirror is None:
+        run = _tile_kernel(f, targets, max_iter, cfg)
+        return lambda lo, hi: reduce(run(spec.columns(np.arange(lo, hi))))
+    _, eps, shared_orbit = mirror
+    run = _tile_kernel(f, targets, max_iter, cfg, [i for i, e in enumerate(eps) if e < 0])
+
+    def work(lo: int, hi: int) -> list[np.ndarray]:
+        ids, pairs = _mirror_layout(spec.width, lo, hi)
+        if shared_orbit:
+            res = reduce(run(spec.columns(ids[: ids.size - pairs])))
+            res = [np.concatenate([a, a[:pairs]]) for a in res]
+        else:
+            res = reduce(run(spec.columns(ids), pairs))
+        ids -= lo
+        out = [np.empty_like(a) for a in res]
+        for dst, src in zip(out, res):
+            dst[ids] = src
+        return out
+
+    return work

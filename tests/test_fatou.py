@@ -63,6 +63,12 @@ def shifted_map():
     return endo_new([P2("z^2 - 2*z*w + 2*w^2"), P2("w^2")])
 
 
+def odd_map():
+    # z -> (3z - z^3) / 2: superattracting fixed points at 1 and -1, which the
+    # column mirror of the default slice, z -> -conj(z), swaps
+    return endo_new([P2("3*z*w^2 - z^3"), P2("2*w^3")])
+
+
 def pt(*coords):
     return ProjPoint.exact_point(list(coords))
 
@@ -76,6 +82,7 @@ _MAPS = {
     "quad": quad_map,
     "lattes": lattes_map,
     "shifted": shifted_map,
+    "odd": odd_map,
 }
 
 
@@ -445,7 +452,7 @@ def test_slice_point_is_its_render_column_bit_for_bit():
     spec = SliceSpec.default(2, width=100, height=60, extent=2.5, center=(0.3, 0.2))
     for i in range(100 * 60):
         row, col = divmod(i, 100)
-        assert spec.point(col, row) == ProjPoint.inexact(spec.columns(i, i + 1)[:, 0])
+        assert spec.point(col, row) == ProjPoint.inexact(spec.columns(np.arange(i, i + 1))[:, 0])
 
 
 def test_default_slices():
@@ -729,7 +736,7 @@ def test_slice_columns_match_the_grid():
     spec = SliceSpec((0.25, -1), (1, 0.5j), (0.5, 1), 1, (0.3, -0.2), 2.5, width=37, height=23)
     grid = spec.grid()
     for lo, hi in [(0, 7), (5, 300), (800, 851), (0, 851)]:
-        cols = spec.columns(lo, hi)
+        cols = spec.columns(np.arange(lo, hi))
         assert cols.shape == (3, hi - lo)
         assert cols.tobytes() == grid[:, lo:hi].tobytes()
 
@@ -888,17 +895,19 @@ def test_a_dead_worker_fails_the_call(monkeypatch):
 
 def test_render_memory_is_per_tile(monkeypatch):
     # the whole 512x512 start grid alone peaks near 28 MB; per-tile columns
-    # leave the tile's working set plus the per-pixel labels and iterations
+    # leave the tile's working set plus the per-pixel labels and iterations.
+    # f runs its mirror pixels as shared orbits, lattes as mirror pairs
     monkeypatch.setattr(fatou, "_cpus", lambda: 1)
-    f, T = f_map(), targets_for("f")
-    spec = SliceSpec.default(2, width=512, height=512)
-    tracemalloc.start()
-    try:
-        render_slice(f, spec, T, max_iter=12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 12e6, f"render peaked at {peak / 1e6:.1f} MB"
+    for name in ("f", "lattes"):
+        f, T = _MAPS[name](), targets_for(name)
+        spec = SliceSpec.default(f.k, width=512, height=512)
+        tracemalloc.start()
+        try:
+            render_slice(f, spec, T, max_iter=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"{name} render peaked at {peak / 1e6:.1f} MB"
 
 
 def _pool_batches(monkeypatch):
@@ -1290,3 +1299,165 @@ def test_the_reciprocal_is_exact_on_planted_columns():
         assert np.isinf(1.0 / m).sum() == 2 and (1.0 / m[6:] < np.finfo(float).tiny).all()
         divided, multiplied = _divided_and_multiplied(img, m)
     assert divided == multiplied
+
+
+# ---------------------------------------------------------------------------
+# mirror pairs of render pixels
+# ---------------------------------------------------------------------------
+
+
+def _unpaired(monkeypatch):
+    """Render with the column mirror refused: every pixel runs alone."""
+    monkeypatch.setattr(orbits, "_column_mirror", lambda *args: None)
+
+
+def _image_bytes(img, path):
+    write_ppm(img, path)
+    return img.labels.tobytes(), img.iterations.tobytes(), img.summary, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "tol, window, max_iter",
+    [(1e-8, 10, 500), (1e-5, 7, 300), (1e-3, 3, 200), (1e-2, 2, 100), (1e-8, 1, 60)],
+)
+@pytest.mark.parametrize(
+    "name, traps",
+    [("f", True), ("f", False), ("power", True), ("power", False), ("quad", True), ("quad", False),
+     ("lattes", True)],
+)
+def test_mirrored_renders_match_the_unpaired_route(
+    monkeypatch, tmp_path, name, traps, tol, window, max_iter
+):
+    # lattes has no traps, so its trapless case is the same render; a window
+    # of one step is refused the pairing, so that setting compares the
+    # unpaired route with itself
+    f = _MAPS[name]()
+    T = targets_for(name) if traps else trapless(name)
+    cfg = resolve(None).with_overrides(convergence_tol=tol, convergence_window=window)
+    # 64x64 in tiles of 1000 pixels, which end inside rows, so pixels whose
+    # mirror lies in the next tile run alone; 128x128 in two parts of whole
+    # rows; 100 and 130 wide, whose u grids are not symmetric to the bit
+    sizes = [(64, 64, 1, 1000), (128, 128, 2, None), (100, 100, 1, None), (130, 128, 2, None)]
+    for width, height, cpus, tile in sizes:
+        spec = SliceSpec.default(f.k, width=width, height=height)
+        with monkeypatch.context() as m:
+            m.setattr(fatou, "_cpus", lambda: cpus)
+            if tile:
+                m.setattr(fatou, "_TILE", tile)
+            paired = _image_bytes(render_slice(f, spec, T, max_iter, cfg), tmp_path / "paired.ppm")
+            _unpaired(m)
+            alone = _image_bytes(render_slice(f, spec, T, max_iter, cfg), tmp_path / "alone.ppm")
+        assert paired == alone, (width, height)
+
+
+def _split_render(monkeypatch, tmp_path, f, T, max_iter, cfg):
+    """A paired render, checked byte for byte against the unpaired one."""
+    spec = SliceSpec.default(1, width=128, height=128)
+    assert orbits._column_mirror(f, spec, T, cfg)[2] is False
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)
+    paired = render_slice(f, spec, T, max_iter, cfg)
+    with monkeypatch.context() as m:
+        _unpaired(m)
+        alone = render_slice(f, spec, T, max_iter, cfg)
+    assert _image_bytes(paired, tmp_path / "a.ppm") == _image_bytes(alone, tmp_path / "b.ppm")
+    return paired
+
+
+def test_pairs_that_split_give_the_unpaired_render(monkeypatch, tmp_path):
+    # one target, a repelling fixed point off the real axis: its h-image is a
+    # fixed point too, but no target, so partners converge and their mirrors
+    # do not, and each such pair splits when its partner retires
+    T = targets_for("lattes")
+    fixed = ProjPoint.inexact([0.568864 + 0.351578j, 1])
+    (i,) = [i for i, cycle in enumerate(T.cycles) if cycle[0].is_close(fixed, 1e-5)]
+    one = TargetSet(cycles=T.cycles[i : i + 1], classifications=T.classifications[i : i + 1])
+    cfg = resolve(None).with_overrides(convergence_tol=0.01, convergence_window=2)
+    img = _split_render(monkeypatch, tmp_path, lattes_map(), one, 100, cfg)
+    converged = img.labels == 1
+    assert converged.any() and (converged != converged[:, ::-1]).all(where=converged)
+
+
+@pytest.mark.parametrize("tol, window, max_iter", [(1e-8, 10, 100), (1e-3, 3, 60)])
+def test_survivors_of_split_pairs_replay_as_alone(monkeypatch, tmp_path, tol, window, max_iter):
+    # only 1 keeps its trap, so a pixel retires there when it enters the
+    # ball, while its mirror, bound for -1, runs on alone in the lone block
+    # until the window confirms it, replaying from a snapshot whose columns
+    # the split left out of order
+    T = targets_for("odd")
+    (plus,) = [i for i in T.traps if T.cycles[i][0] == pt(1, 1)]
+    one_trap = dataclasses.replace(T, traps={plus: T.traps[plus]})
+    cfg = resolve(None).with_overrides(convergence_tol=tol, convergence_window=window)
+    img = _split_render(monkeypatch, tmp_path, odd_map(), one_trap, max_iter, cfg)
+    trapped = img.labels == plus + 1
+    assert trapped.any() and (img.labels[:, ::-1][trapped] != plus + 1).all()
+    assert (img.iterations[:, ::-1][trapped] > img.iterations[trapped]).any()
+
+
+@pytest.mark.parametrize(
+    "name, mirror",
+    [
+        ("lattes4", ((-1, 1), (1, -1), False)),
+        ("quadratic", ((-1, 1), (1, 1), False)),
+        ("f", ((-1, 1, 1), (1, 1, 1), True)),
+        ("power", ((-1, 1, 1), (1, 1, 1), True)),
+        ("g4", ((-1, 1, 1), (1, 1, 1), True)),
+        ("g3", None),  # z^3 and w^2 t have opposite parity in z
+    ],
+)
+def test_the_column_mirror_of_each_fixture(name, mirror):
+    # (s, eps, shared orbit); the census of g3 and g4 does not end, so their
+    # map and slice decide alone
+    f, _ = load_map(name)
+    targets = {"lattes4": "lattes", "quadratic": "quad", "f": "f", "power": "power"}
+    T = targets_for(targets[name]) if name in targets else TargetSet()
+    assert orbits._column_mirror(f, SliceSpec.default(f.k), T, resolve(None)) == mirror
+
+
+def test_the_column_mirror_is_refused_unless_exact():
+    cfg = resolve(None)
+    f, T = f_map(), targets_for("f")
+    mirrored = lambda g, spec, targets=T: orbits._column_mirror(g, spec, targets, cfg)
+    assert mirrored(f, SliceSpec.default(2))
+    # an off-centre window, and a u grid not symmetric to the bit at 3/100
+    assert mirrored(f, SliceSpec.default(2, center=(0.25, 0.0))) is None
+    assert mirrored(f, SliceSpec.default(2, width=100, height=100)) is None
+    # the v offset and a row's tilt keep the symmetry; a tilted u does not
+    assert mirrored(f, SliceSpec.default(2, center=(0.0, 0.4))) is not None
+    assert mirrored(f, SliceSpec((0, 0.5), (1, 0), (0.3, 1), 2)) is None
+    assert mirrored(f, SliceSpec((0, 0.5), (1, 0), (0, 1), 2)) is not None
+    # target cycles that are not apart keep the clash on its unpaired path
+    i = cycle_index(T, pt(0, 0, 1))
+    twice = TargetSet(T.cycles + [T.cycles[i]], T.classifications + [T.classifications[i]])
+    assert mirrored(f, SliceSpec.default(2), twice) is None
+    # a window of one step could confirm an orbit at the start lift it keeps
+    # when its first image degenerates, and the mirror's start lift differs
+    for window in (0, 1):
+        one = cfg.with_overrides(convergence_window=window)
+        assert orbits._column_mirror(f, SliceSpec.default(2), T, one) is None
+
+
+def _evaluated(monkeypatch, f, spec, T, max_iter):
+    """Columns the map is evaluated on in one render, on one CPU."""
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)
+    columns = []
+    eval_forms = orbits._eval_forms
+
+    def spy(terms, coords, *args):
+        columns.append(coords.shape[1])
+        return eval_forms(terms, coords, *args)
+
+    monkeypatch.setattr(orbits, "_eval_forms", spy)
+    render_slice(f, spec, T, max_iter=max_iter)
+    return sum(columns)
+
+
+def test_the_map_is_evaluated_once_per_mirror_pair(monkeypatch):
+    # every pixel was evaluated on every step: 8,192,000 columns on lattes
+    # 128x128 at 500 steps, where no pixel converges
+    spec = SliceSpec.default(1)
+    assert _evaluated(monkeypatch, lattes_map(), spec, targets_for("lattes"), 500) == 4_096_000
+    # f's mirror pixels never enter the kernel
+    spec, T = SliceSpec.default(2, width=64, height=64), targets_for("f")
+    paired = _evaluated(monkeypatch, f_map(), spec, T, 500)
+    _unpaired(monkeypatch)
+    assert 2 * paired == _evaluated(monkeypatch, f_map(), spec, T, 500)

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import critfin
@@ -101,3 +103,19 @@ def test_traced_benchmark_targets_still_resolve():
     assert len(names) == 16
     for module, name in names:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_the_compile_peak_probe_lists_every_module():
+    # a helper run by hand (see the README's Tests section); this only checks
+    # that it still runs on the checkout, and asserts no RSS
+    probe = Path(__file__).with_name("compile_peak.py")
+    done = subprocess.run([sys.executable, str(probe)], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    lines = [line.split() for line in done.stdout.decode().splitlines()]
+    package = Path(critfin.__file__).parent
+    modules = {"critfin"} | {f"critfin.{p.stem}" for p in package.glob("*.py")} - {
+        "critfin.__init__",
+        "critfin.__main__",
+    }
+    assert {line[0] for line in lines} == modules
+    assert all(len(line) == 3 and int(line[1]) <= int(line[2]) for line in lines)

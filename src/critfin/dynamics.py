@@ -58,6 +58,11 @@ OTHER = "other"
 UNDECIDED = "undecided"
 
 
+def superattracting(classification: str) -> bool:
+    """Whether a multiplier class is one of the two superattracting ones."""
+    return classification in (SUPERATTRACTING_ZERO, SUPERATTRACTING_NILPOTENT)
+
+
 def _primitive_tuple(forms: list[HomogPoly]) -> tuple[HomogPoly, ...]:
     """Remove the common rational content of the tuple, keeping relative scales."""
     scale = 1 / rational_content(c for f in forms for c in f.terms.values())
@@ -308,7 +313,7 @@ class PeriodicPoint:
     cycle: list[ProjPoint] = field(default_factory=list)
 
     def is_superattracting(self) -> bool:
-        return self.classification in (SUPERATTRACTING_ZERO, SUPERATTRACTING_NILPOTENT)
+        return superattracting(self.classification)
 
 
 def _expected_fixed_points(f: Endomorphism, n: int) -> int:
@@ -579,8 +584,7 @@ def trapping_radii(
     iterates: dict[int, Endomorphism] = {}
     traps: dict[int, Fraction] = {}
     for i, cycle in enumerate(cycles):
-        superattracting = classifications[i] in (SUPERATTRACTING_ZERO, SUPERATTRACTING_NILPOTENT)
-        if not superattracting or not all(p.exact for p in cycle):
+        if not superattracting(classifications[i]) or not all(p.exact for p in cycle):
             continue
         r = None
         for m in (len(cycle), 2 * len(cycle)):

@@ -13,15 +13,15 @@ everything else is ``undecided``.  Slice renders classify a whole pixel grid
 of start points and can be written out as a PPM image with a JSON legend
 sidecar.
 
-The orbit kernel runs the columns in fixed-size tiles on every usable CPU,
-cutting a tile into parts when there are fewer tiles than CPUs, so its
-working memory is O(tile) per process whatever the number of start points; a
-render builds each tile's start points from the slice and keeps only a label
-and an iteration count per pixel.  What a tile computes lives in ``orbits``:
-a column's bits depend neither on the tile size nor on the number of CPUs.
-The kernel keeps one streak counter per orbit, which assumes the target
-cycles are disjoint: an orbit within the convergence tolerance of two cycles
-at once is refused with ``InputError``.
+The orbit kernel cuts the columns once into near-equal pieces of at most
+one tile, as many as the CPUs share evenly, and runs them on every usable
+CPU; each step drops the orbits it decided from a piece's live columns at
+once.  Working memory is O(tile) per process whatever the number of start
+points, and a render keeps only a label and an iteration count per pixel.
+What a piece computes lives in ``orbits``: a column's bits depend neither on
+the cut nor on the number of CPUs.  The kernel keeps one streak counter per
+orbit, which assumes the target cycles are disjoint: an orbit within the
+convergence tolerance of two cycles at once is refused with ``InputError``.
 """
 
 from __future__ import annotations
@@ -39,12 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import Config, resolve
-from .dynamics import (
-    UNDECIDED,
-    Endomorphism,
-    find_periodic,
-    trapping_radii,
-)
+from .dynamics import UNDECIDED, Endomorphism, find_periodic, superattracting, trapping_radii
 from .errors import InputError
 from .geometry import Component, ProjPoint, same_component
 from .orbits import _anchor_charts, _nearest_cycle, _render_tiles, _tile_kernel
@@ -102,7 +97,7 @@ class TargetSet:
     traps: dict[int, Fraction] = field(default_factory=dict)
 
     def superattracting(self, i: int) -> bool:
-        return self.classifications[i].startswith("superattracting")
+        return superattracting(self.classifications[i])
 
 
 def build_targets(
@@ -166,22 +161,22 @@ class OrbitVerdict:
     diagnostics: str = ""
 
 
-# columns per tile: the kernel's working memory is O(_TILE), not O(pixels)
+# the most columns in a piece: working memory is O(_TILE), not O(pixels)
 _TILE = 1 << 14
 
-# the fewest columns in a part of a tile split across CPUs
+# the fewest columns in a piece added to share the pieces evenly across CPUs
 _MIN_PART = 1 << 12
 
 
 def _cpus() -> int:
-    # sched_getaffinity is Linux-only; elsewhere the tiles run serially
+    # sched_getaffinity is Linux-only; elsewhere the pieces run serially
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return 1
 
 
-_work = None  # the tile function of a worker process, set by _start_worker
+_work = None  # the piece function of a worker process, set by _start_worker
 
 
 def _start_worker(work) -> None:
@@ -194,29 +189,27 @@ def _work_on(piece: tuple) -> tuple:
 
 
 def _run_tiles(work, out: tuple[np.ndarray, ...]) -> None:
-    """Fill the 1-D arrays ``out`` from ``work``, tile by tile.
+    """Fill the 1-D arrays ``out`` from ``work``, piece by piece.
 
-    ``work(lo, hi)`` runs columns lo..hi-1, a whole tile or a part of one,
-    as ``_tile_kernel``'s ``run`` does, and returns one array per output.
+    ``work(lo, hi)`` runs columns lo..hi-1 as ``_tile_kernel``'s ``run``
+    does and returns one array per output.  The n columns are cut once, into
+    the fewest near-equal pieces of at most ``_TILE`` columns, their count
+    rounded up toward a multiple of the usable CPUs while each piece keeps
+    at least ``_MIN_PART`` columns; a column's bits do not depend on the
+    columns run with it, so any cut gives the same outputs.
 
-    With two or more usable CPUs the tiles run in a pool of forked workers,
-    one per CPU at most.  When there are fewer tiles than CPUs, each tile is
-    cut into about one part per CPU, of at least ``_MIN_PART`` columns; a
-    column's bits do not depend on the columns run with it, so the parts
-    give the whole tile's outputs.  Results are written into ``out`` as they
-    arrive, in tile order.  Forking hands ``work``, a closure, to the
-    workers without pickling it or importing anything again; only bounds and
-    results are pickled.  An exception raised in a worker is raised here,
-    and a worker that dies raises ``BrokenProcessPool`` instead of a hang.
+    With two or more usable CPUs the pieces run in a pool of forked workers,
+    one per CPU at most.  Results are written into ``out`` as they arrive,
+    in column order.  Forking hands ``work``, a closure, to the workers
+    without pickling it or importing anything again; only bounds and results
+    are pickled.  An exception raised in a worker is raised here, and a
+    worker that dies raises ``BrokenProcessPool`` instead of a hang.
     """
     n = out[0].size
     cpus = _cpus()
-    tiles = [(lo, min(lo + _TILE, n)) for lo in range(0, n, _TILE)]
-    pieces: list[tuple[int, int]] = []
-    for lo, hi in tiles:
-        parts = max(1, min(cpus // len(tiles), (hi - lo) // _MIN_PART))
-        cuts = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
-        pieces += zip(cuts, cuts[1:])
+    count = -(-n // _TILE)
+    count = max(count, min(-(-count // cpus) * cpus, n // _MIN_PART))
+    pieces = [(n * i // count, n * (i + 1) // count) for i in range(count)]
     workers = min(len(pieces), cpus)
     with contextlib.ExitStack() as stack:
         if workers < 2:
@@ -250,8 +243,8 @@ def _orbit_kernel(
     at which the lift degenerated (0 if never), the nearest-component index
     over the tail window (-1 if unmeasured), and that best tail distance.
 
-    Columns run in tiles of ``_TILE`` on every usable CPU, a lone tile cut
-    into parts, so working memory is O(tile) per process beside the
+    Columns run in pieces of at most ``_TILE`` on every usable CPU (see
+    ``_run_tiles``), so working memory is O(tile) per process beside the
     per-column results.  Each orbit keeps one streak counter and the cycle
     it counts toward, which assumes the target cycles are disjoint at the
     convergence tolerance; an orbit near two cycles at once raises
@@ -336,18 +329,18 @@ def sample_orbits(
 ) -> list[OrbitVerdict]:
     """Classify many forward orbits in one vectorized pass.
 
-    Orbits advance in lockstep, one tile of columns at a time, on every
-    usable CPU (a lone tile is cut into parts); a column retires as soon as
-    its verdict is known.  A verdict depends neither on the other starts in
-    the batch nor on the number of CPUs.  Convergence means the orbit entered
-    one of the certified trapping balls of ``targets.traps`` (``iterations``
-    is the step of entry and ``distance`` the chart max-norm distance there,
-    at most the trap radius), or that its distance to one cycle stayed below
-    the convergence tolerance for a full window of consecutive steps; a trap
-    is checked first, so a trapped orbit skips that step's screening.
-    Orbits that never confirm are checked over their last window of
-    iterates against the postcritical components and reported as
-    accumulating when they come within the accumulation tolerance.
+    Orbits advance in lockstep, one piece of columns at a time, on every
+    usable CPU; a column retires as soon as its verdict is known.  A verdict
+    depends neither on the other starts in the batch nor on the number of
+    CPUs.  Convergence means the orbit entered one of the certified trapping
+    balls of ``targets.traps`` (``iterations`` is the step of entry and
+    ``distance`` the chart max-norm distance there, at most the trap
+    radius), or that its distance to one cycle stayed below the convergence
+    tolerance for a full window of consecutive steps; a trap is checked
+    first, so a trapped orbit skips that step's screening.  Orbits that
+    never confirm are checked over their last window of iterates against
+    the postcritical components and reported as accumulating when they come
+    within the accumulation tolerance.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter
@@ -592,14 +585,15 @@ def render_slice(
     is its iteration count.  Its orbit converges to that cycle, which the
     convergence window alone would confirm later, budget permitting.  The
     result is deterministic for a fixed spec and configuration, whatever the
-    tile size and the number of CPUs.  Start points are built one tile (or
-    part of a tile) at a time and reduced to labels and iteration counts at
-    once, so memory is O(tile) plus those two per pixel.  The tiles run on
-    every usable CPU; a render of fewer tiles than CPUs, such as the default
-    128x128 (one tile), cuts each tile into parts.  When the map and the
-    slice commute with the column mirror (``orbits._column_mirror``), the
-    map is evaluated once per mirror pair of pixels in a tile or part, and
-    every pixel still gets the label and count it gets alone.
+    cut and the number of CPUs.  The pixels are cut once into near-equal
+    pieces of at most one tile, as many as the CPUs share evenly while each
+    keeps ``_MIN_PART`` pixels (see ``_run_tiles``): the default 128x128 runs
+    as one piece per CPU.  Start points are built one piece at a time and
+    reduced to labels and iteration counts at once, so memory is O(tile)
+    plus those two per pixel.  When the map and the slice commute with the
+    column mirror (``orbits._column_mirror``), the map is evaluated once per
+    mirror pair of pixels in a piece, and every pixel still gets the label
+    and count it gets alone.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter

@@ -1,6 +1,6 @@
 """The orbit kernel's per-tile numerics: evaluation, screening, the streak loop.
 
-``fatou`` cuts the start points into tiles and runs ``_tile_kernel``'s
+``fatou`` cuts the start points into pieces and runs ``_tile_kernel``'s
 function on each.  It iterates the lifts in adaptive charts (unit max-norm
 every step), retires an orbit that enters a certified trapping ball, counts
 each orbit's straight steps within the convergence tolerance of one target
@@ -253,7 +253,7 @@ def _component_distances(coords: np.ndarray, probes: list[tuple]) -> np.ndarray:
 
 
 def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config, flips=()):
-    """The orbit kernel for one tile or part of a tile, as a function of its start lifts.
+    """The orbit kernel for one piece of the columns, as a function of its start lifts.
 
     ``run(tile)`` takes a (k+1, m) array, m at most ``fatou._TILE``, and
     returns the six per-column arrays ``fatou._orbit_kernel`` describes for
@@ -266,13 +266,15 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
     evaluates the map on the partners and the lone columns only, and returns
     the same arrays as ``run(tile)``, in the tile's column order.
 
-    The traps are screened on every step.  When ``_cycles_apart`` holds, the
-    window cycles are screened on every column only at the checkpoints, the
-    multiples of the convergence window P, and in between only on the
-    watched columns, those near a cycle at the previous step.  Every P
-    straight steps hold one checkpoint, so no convergence is missed; a column
-    first found near a cycle at a checkpoint recounts its streak from the
-    previous checkpoint's lift.  Otherwise every step is a checkpoint.
+    The traps are screened on every step, then the window cycles on the
+    columns no trap retired.  When ``_cycles_apart`` holds, the window cycles
+    are screened on every such column only at the checkpoints, the multiples
+    of the convergence window P, and in between only on the watched columns,
+    those near a cycle at the previous step.  Every P straight steps hold one
+    checkpoint, so no convergence is missed; a column first found near a
+    cycle at a checkpoint recounts its streak from the previous checkpoint's
+    lift.  Otherwise every step is a checkpoint.  A step drops the columns
+    that converged or degenerated all at once, at its end.
     """
     terms = _form_terms(f.forms)
     charts = _anchor_charts(targets.cycles)
@@ -354,8 +356,9 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
 
         # live state: lifts, column ids, streak and the cycle it counts
         # toward (-1 for an unwatched column), in the order of the pair
-        # blocks; retired orbits are dropped from all four, and ``pairs``
-        # counts the pairs left.  The snapshot is the state at the last
+        # blocks; ``pairs`` counts the pairs left.  A step marks the columns
+        # that converge in ``done``, then drops them and the degenerate ones
+        # from all four at once.  The snapshot is the state at the last
         # checkpoint.
         tile = tile / np.abs(tile).max(axis=0)
         cols = np.arange(size)
@@ -363,48 +366,46 @@ def _tile_kernel(f: Endomorphism, targets: TargetSet, max_iter: int, cfg: Config
         last = np.full(size, -1, dtype=np.int64)
         snapshot = (cols, tile, streak.copy(), last.copy())
 
+        def converge(at, cycle, dist):
+            # state columns ``at`` converge to ``cycle`` at this step, ``dist`` away
+            done[at] = True
+            rows = cols[at]
+            cycle_idx[rows], conv_iter[rows], conv_dist[rows] = cycle, it, dist
+
         for it in range(1, max_iter + 1):
             if not cols.size:
                 break
             tile, live = step(tile, pairs)
             if not live.all():
                 overflow[cols[~live]] = it
+            done = np.zeros(cols.size, dtype=bool)
 
             if trap_charts:
-                # a column inside a certified trap converges: it retires
-                # before the screening, which it skips
+                # a column inside a certified trap converges and skips the
+                # screening below
                 near, dist = _nearest_cycle(tile, trap_charts, rho)
-                done = live & (near >= 0)
-                if done.any():
-                    rows = cols[done]
-                    cycle_idx[rows] = np.take(trapped, near[done])
-                    conv_iter[rows] = it
-                    conv_dist[rows] = dist[done]
-                    keep, pairs = kept(~done, pairs)
-                    tile, live, cols, streak, last = (
-                        tile[:, keep], live[keep], cols[keep], streak[keep], last[keep]
-                    )
+                at = np.flatnonzero(live & (near >= 0))
+                if at.size:
+                    converge(at, np.take(trapped, near[at]), dist[at])
 
             checkpoint = it % period == 0
-            at = np.arange(cols.size) if checkpoint else np.flatnonzero(last >= 0)
+            at = np.flatnonzero(~done if checkpoint else ~done & (last >= 0))
             if charts and at.size:
-                near, dist = _nearest_cycle(tile if checkpoint else tile[:, at], charts, tol)
+                screened = tile if at.size == cols.size else tile[:, at]
+                near, dist = _nearest_cycle(screened, charts, tol)
                 if checkpoint:
-                    fresh = np.flatnonzero((near >= 0) & (last < 0))
+                    fresh = at[(near >= 0) & (last[at] < 0)]
                     if fresh.size:
                         streak[fresh], last[fresh] = replay(snapshot, cols[fresh])
                 streak[at], last[at] = count(streak[at], last[at], near)
-                done = streak[at] >= window
-                if done.any():
-                    rows = cols[at[done]]
-                    cycle_idx[rows] = near[done]
-                    conv_iter[rows] = it
-                    conv_dist[rows] = dist[done]
-                    live[at[done]] = False
+                won = streak[at] >= window
+                if won.any():
+                    converge(at[won], near[won], dist[won])
 
-            if not live.all():
-                keep, pairs = kept(live, pairs)
-                tile, cols, streak, last = tile[:, keep], cols[keep], streak[keep], last[keep]
+            keep = live & ~done
+            if not keep.all():
+                keep, pairs = kept(keep, pairs)
+                tile, cols, streak, last = (a[..., keep] for a in (tile, cols, streak, last))
             if checkpoint:
                 snapshot = (cols, tile, streak.copy(), last.copy())
             if probes and it > tail_start and cols.size:
@@ -445,14 +446,11 @@ def _render_tiles(
     arrays.  Every pixel gets the arrays it gets alone.
     """
     mirror = _column_mirror(f, spec, targets, cfg)
-    if mirror is None:
-        run = _tile_kernel(f, targets, max_iter, cfg)
-        return lambda lo, hi: reduce(run(spec.columns(np.arange(lo, hi))))
-    _, eps, shared_orbit = mirror
+    _, eps, shared_orbit = mirror or ((), (), False)
     run = _tile_kernel(f, targets, max_iter, cfg, [i for i, e in enumerate(eps) if e < 0])
 
     def work(lo: int, hi: int) -> list[np.ndarray]:
-        ids, pairs = _mirror_layout(spec.width, lo, hi)
+        ids, pairs = _mirror_layout(spec.width, lo, hi) if mirror else (np.arange(lo, hi), 0)
         if shared_orbit:
             res = reduce(run(spec.columns(ids[: ids.size - pairs])))
             res = [np.concatenate([a, a[:pairs]]) for a in res]

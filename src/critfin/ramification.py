@@ -485,10 +485,10 @@ def certify_ramification(
     locus: F_1 on a cleanly classified line, F_1 ∪ F_2 on a plane with clean
     order-1 and order-2 data, audited at order 2 (stratum bound l_2 when C_2
     is nonempty; a root in the stabilized order-2 set but off those cycles
-    is flagged as the order-2 case).  The bound is the sum of the stratum
-    bounds, ``ramification_bound(report, order)``, as C_1 is never empty.  A
-    root in, or ambiguous for, the locus is not-applicable (undecided) with
-    no paths and no fiber solved; otherwise every backward orbit is audited.
+    is flagged as the order-2 case).  The bound is ``ramification_bound``'s,
+    the sum of the stratum bounds, as C_1 is never empty.  A root in, or
+    ambiguous for, the locus is not-applicable (undecided) with no paths and
+    no fiber solved; otherwise every backward orbit is audited.
     """
     cfg = resolve(cfg)
     if report is None:
@@ -528,7 +528,7 @@ def certify_ramification(
             "exclusion locus and bound"
         )
     depth = _tree_depth(f, q, depth, cfg)
-    bound = sum(bounds.values())
+    bound = ramification_bound(report, order)
     cert = RamificationCertificate(
         root=q, depth=depth, order=order, bound=bound, stratum_bounds=bounds
     )

@@ -22,6 +22,8 @@ from critfin.dynamics import (
     endo_new,
     find_periodic,
     iterate,
+    superattracting,
+    trapping_radii,
 )
 from critfin.errors import (
     ArityError,
@@ -30,6 +32,7 @@ from critfin.errors import (
     NotAMorphismError,
     SolverError,
 )
+from critfin.fatou import TargetSet
 from critfin.geometry import ProjPoint
 
 P3 = lambda s: poly_parse(s, 3)
@@ -279,6 +282,27 @@ def test_fixture_two_cycle_is_not_superattracting():
         assert pp.eigen_data == (Fraction(4), Fraction(0))
         assert pp.classification == OTHER
         assert not pp.is_superattracting()
+
+
+@pytest.mark.parametrize(
+    "classification, expected",
+    [
+        (SUPERATTRACTING_ZERO, True),
+        (SUPERATTRACTING_NILPOTENT, True),
+        (ATTRACTING, False),
+        (OTHER, False),
+        (UNDECIDED, False),
+    ],
+)
+def test_one_superattracting_predicate(classification, expected):
+    # the periodic point, the render targets and the trap certification
+    # decide by the same predicate; [1 : 0 : 0] is a superattracting fixed
+    # point of f, so it gets a trap exactly when its class says superattracting
+    assert superattracting(classification) is expected
+    point = pt(1, 0, 0)
+    assert PeriodicPoint(point, 1, classification).is_superattracting() is expected
+    assert TargetSet([[point]], [classification]).superattracting(0) is expected
+    assert bool(trapping_radii(f_map(), [[point]], [classification])) is expected
 
 
 def test_power_map_fixed_points():

@@ -656,7 +656,7 @@ def test_kernel_tiles_do_not_change_results(monkeypatch):
     # 15 steps leave some orbits to the tail-window component check
     budgets = (15, None)
     single = {it: [sample_orbit(f, s, T, max_iter=it) for s in starts] for it in budgets}
-    monkeypatch.setattr(fatou, "_TILE", 7)  # 576 and 20 columns: ragged last tiles
+    monkeypatch.setattr(fatou, "_TILE", 7)  # 576 and 20 columns: pieces of 6 and 7
     for a, b in zip(whole, _f_kernel(24)):
         assert np.array_equal(a, b)
     outcomes = set()
@@ -693,7 +693,7 @@ def test_lattes_kernel_bits_do_not_depend_on_the_tile(monkeypatch):
         )
     coords = spec.grid()
     whole = fatou._orbit_kernel(f, coords, T, 500, cfg)
-    monkeypatch.setattr(fatou, "_TILE", 1000)  # 17 tiles, the last ragged
+    monkeypatch.setattr(fatou, "_TILE", 1000)  # 17 pieces of 963 and 964 columns
     for a, b in zip(whole, fatou._orbit_kernel(f, coords, T, 500, cfg)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -838,7 +838,7 @@ def test_worker_pool_gives_the_serial_results(monkeypatch):
     f, T, cfg = f_map(), trapless("f"), resolve(None)
     spec = SliceSpec.default(2, width=24, height=24)
     runs = _pool_runs(monkeypatch)
-    monkeypatch.setattr(fatou, "_TILE", 100)  # 576 columns: 6 tiles, the last ragged
+    monkeypatch.setattr(fatou, "_TILE", 100)  # 576 columns: 6 pieces of 96
     results = {}
     for cpus in (1, 2):
         monkeypatch.setattr(fatou, "_cpus", lambda: cpus)
@@ -996,6 +996,23 @@ def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):
         render_slice(f_map(), SliceSpec.default(2, width=128, height=128), twice, max_iter=20)
     assert [len(pieces) for pieces in batches] == [2]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "name, width, height, size",
+    [
+        ("f", 512, 512, 16384),  # the benchmark's renders keep their pieces
+        ("lattes", 128, 128, 8192),
+        ("lattes", 130, 128, 8320),  # was a piece of 16,384 and one of 256
+    ],
+)
+def test_a_render_is_cut_into_even_pieces_on_two_cpus(monkeypatch, name, width, height, size):
+    batches = _pool_batches(monkeypatch)
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    f = _MAPS[name]()
+    render_slice(f, SliceSpec.default(f.k, width=width, height=height), targets_for(name), 2)
+    n = width * height
+    assert batches == [[(lo, lo + size) for lo in range(0, n, size)]]
 
 
 # ---------------------------------------------------------------------------
@@ -1213,6 +1230,28 @@ def test_the_window_cycles_are_screened_once_per_window(monkeypatch):
     assert f["trap screens"] == 222
 
 
+def test_a_column_a_trap_retires_skips_that_steps_window_screen(monkeypatch):
+    # no lift inside a certified trap reaches the window screen, at a
+    # checkpoint or between them: the trap retires it first
+    T = targets_for("f")
+    trapped = sorted(T.traps)
+    trap_charts = orbits._anchor_charts([T.cycles[i] for i in trapped])
+    rho = min(map(float, T.traps.values())) * (1 - 2.0**-20)  # the kernel's margin
+    window_tol = resolve(None).convergence_tol
+    nearest = orbits._nearest_cycle
+    in_trap = []
+
+    def spy(coords, charts, tol):
+        if tol == window_tol:
+            in_trap.append(int((nearest(coords, trap_charts, rho)[0] >= 0).sum()))
+        return nearest(coords, charts, tol)
+
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)
+    monkeypatch.setattr(orbits, "_nearest_cycle", spy)
+    render_slice(f_map(), SliceSpec.default(2, width=64, height=64), T, max_iter=500)
+    assert in_trap and not any(in_trap)
+
+
 @pytest.mark.parametrize("name", ["f", "power", "quad", "lattes", "shifted"])
 def test_every_fixture_target_set_is_apart(name):
     charts = orbits._anchor_charts(targets_for(name).cycles)
@@ -1334,9 +1373,10 @@ def test_mirrored_renders_match_the_unpaired_route(
     f = _MAPS[name]()
     T = targets_for(name) if traps else trapless(name)
     cfg = resolve(None).with_overrides(convergence_tol=tol, convergence_window=window)
-    # 64x64 in tiles of 1000 pixels, which end inside rows, so pixels whose
-    # mirror lies in the next tile run alone; 128x128 in two parts of whole
-    # rows; 100 and 130 wide, whose u grids are not symmetric to the bit
+    # 64x64 in pieces of at most 1000 pixels, which end inside rows, so
+    # pixels whose mirror lies in the next piece run alone; 128x128 in two
+    # pieces of whole rows; 100 and 130 wide, whose u grids are not
+    # symmetric to the bit
     sizes = [(64, 64, 1, 1000), (128, 128, 2, None), (100, 100, 1, None), (130, 128, 2, None)]
     for width, height, cpus, tile in sizes:
         spec = SliceSpec.default(f.k, width=width, height=height)

@@ -105,6 +105,31 @@ def test_traced_benchmark_targets_still_resolve():
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
 
 
+def test_the_tracer_installs_on_a_fresh_cli_import(run_python):
+    # a traced child imports critfin.cli alone before ``install``, which
+    # reads every target module from sys.modules: a target module that cli
+    # imported lazily would be missing there, unlike in the test above
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    script = f"""
+import importlib.util, sys
+import critfin.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(path)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+rebound = tracer.install(tracer.Recorder())
+targets = [(module, name) for module, names in tracer.TARGETS.items() for name in names]
+print(rebound, len(targets))
+for module, name in targets:
+    if not hasattr(getattr(sys.modules[module], name), "__wrapped__"):
+        print(module, name)
+"""
+    done = run_python(script)
+    assert done.returncode == 0, done.stderr.decode()
+    counts, *unwrapped = done.stdout.decode().splitlines()
+    rebound, targets = map(int, counts.split())
+    assert targets and not unwrapped and rebound >= targets, (counts, unwrapped)
+
+
 def test_the_compile_peak_probe_lists_every_module():
     # a helper run by hand (see the README's Tests section); this only checks
     # that it still runs on the checkout, and asserts no RSS

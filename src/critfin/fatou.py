@@ -15,9 +15,10 @@ sidecar.
 
 The orbit kernel cuts the columns once into near-equal pieces of at most
 one tile, as many as the CPUs share evenly, and runs them on every usable
-CPU; each step drops the orbits it decided from a piece's live columns at
-once.  Working memory is O(tile) per process whatever the number of start
-points, and a render keeps only a label and an iteration count per pixel.
+CPU, in plain forked workers that write into shared output arrays; each
+step drops the orbits it decided from a piece's live columns at once.
+Working memory is O(tile) per process whatever the number of start points,
+and a render keeps only a label and an iteration count per pixel.
 What a piece computes lives in ``orbits``: a column's bits depend neither on
 the cut nor on the number of CPUs.  The kernel keeps one streak counter per
 orbit, which assumes the target cycles are disjoint: an orbit within the
@@ -27,11 +28,11 @@ convergence tolerance of two cycles at once is refused with ``InputError``.
 from __future__ import annotations
 
 import cmath
-import contextlib
-import itertools
 import json
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -51,19 +52,10 @@ ACCUMULATES = "accumulates-near"
 # image label conventions: 0 undecided, 1..m the target cycles, m+1 escape
 UNDECIDED_LABEL = 0
 
-_CYCLE_COLORS = (
-    (198, 57, 70),
-    (69, 123, 157),
-    (244, 162, 97),
-    (42, 157, 143),
-    (231, 111, 81),
-    (131, 56, 236),
-    (255, 183, 3),
-    (0, 119, 182),
-    (214, 40, 40),
-    (6, 214, 160),
-    (239, 71, 111),
-    (17, 138, 178),
+# one RGB color per target cycle, in turn
+_CYCLE_COLORS = tuple(
+    tuple(bytes.fromhex(rgb))
+    for rgb in "c63946 457b9d f4a261 2a9d8f e76f51 8338ec ffb703 0077b6 d62828 06d6a0 ef476f 118ab2".split()
 )
 
 
@@ -176,20 +168,67 @@ def _cpus() -> int:
         return 1
 
 
-_work = None  # the piece function of a worker process, set by _start_worker
+def _fill(work, out, pieces):
+    """Write each (lo, hi) of ``pieces`` into ``out`` in turn; return (lo, error)
+    for the first that raises, which stops the run."""
+    for lo, hi in pieces:
+        try:
+            for dst, src in zip(out, work(lo, hi)):
+                dst[lo:hi] = src
+        except Exception as exc:
+            return lo, exc
 
 
-def _start_worker(work) -> None:
-    global _work
-    _work = work
+def _fork_join(work, out, pieces, workers):
+    """``_fill`` the shared ``out`` in forked workers; return the lowest (lo, error), if any.
+
+    Worker w runs pieces w, w + workers, ... and pickles what ``_fill``
+    returned to its pipe, read to the end before the worker is reaped.  It
+    leaves only through ``os._exit``, flushing no inherited stdio buffer,
+    with status 0 only once all its pieces are written.  The pieces of a
+    worker that cannot be forked run here.  A worker that ends without a
+    record raises ``RuntimeError``; an interrupted wait kills and reaps
+    every worker left.
+    """
+    children, failures = {}, []
+    try:
+        for w in range(workers):
+            picks = pieces[w::workers]
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process for this worker: its pieces run here
+                os.close(r)
+                os.close(wr)
+                failures.append(_fill(work, out, picks))
+                continue
+            if not pid:  # the worker
+                try:
+                    failed = _fill(work, out, picks)
+                    os.write(wr, pickle.dumps(failed))  # blocks until the parent reads it all
+                    os._exit(1 if failed else 0)
+                finally:
+                    os._exit(1)
+            os.close(wr)
+            children[pid] = open(r, "rb")
+        for pid in list(children):
+            with children[pid] as fh:
+                record = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not record:
+                raise RuntimeError(f"render worker {pid} ended with wait status {status}")
+            failures.append(pickle.loads(record))
+        return min(filter(None, failures), default=None)
+    finally:
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _work_on(piece: tuple) -> tuple:
-    return _work(*piece)
-
-
-def _run_tiles(work, out: tuple[np.ndarray, ...]) -> None:
-    """Fill the 1-D arrays ``out`` from ``work``, piece by piece.
+def _run_tiles(work, dtypes, n):
+    """The 1-D arrays, one per dtype of ``dtypes``, that ``work`` fills over n columns.
 
     ``work(lo, hi)`` runs columns lo..hi-1 as ``_tile_kernel``'s ``run``
     does and returns one array per output.  The n columns are cut once, into
@@ -198,34 +237,28 @@ def _run_tiles(work, out: tuple[np.ndarray, ...]) -> None:
     at least ``_MIN_PART`` columns; a column's bits do not depend on the
     columns run with it, so any cut gives the same outputs.
 
-    With two or more usable CPUs the pieces run in a pool of forked workers,
-    one per CPU at most.  Results are written into ``out`` as they arrive,
-    in column order.  Forking hands ``work``, a closure, to the workers
-    without pickling it or importing anything again; only bounds and results
-    are pickled.  An exception raised in a worker is raised here, and a
-    worker that dies raises ``BrokenProcessPool`` instead of a hang.
+    With two or more pieces and usable CPUs, the arrays live in anonymous
+    shared mappings that forked workers, one per CPU at most, fill in place
+    (see ``_fork_join``); otherwise the pieces run here.  Either way the
+    error of the lowest piece that raises, which a serial run meets first,
+    is raised here.
     """
-    n = out[0].size
     cpus = _cpus()
     count = -(-n // _TILE)
     count = max(count, min(-(-count // cpus) * cpus, n // _MIN_PART))
     pieces = [(n * i // count, n * (i + 1) // count) for i in range(count)]
-    workers = min(len(pieces), cpus)
-    with contextlib.ExitStack() as stack:
-        if workers < 2:
-            results = itertools.starmap(work, pieces)
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            fork = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, fork, _start_worker, (work,))
-            # after an error, pieces not yet started are dropped, not run
-            stack.callback(pool.shutdown, cancel_futures=True)
-            results = pool.map(_work_on, pieces)
-        for (lo, hi), res in zip(pieces, results):
-            for dst, src in zip(out, res):
-                dst[lo:hi] = src
+    workers = min(count, cpus)
+    shared = workers > 1
+    if shared:
+        import mmap  # only here: loading it at import would raise every command's peak
+    out = tuple(
+        np.frombuffer(mmap.mmap(-1, n * np.dtype(d).itemsize), d, n) if shared else np.empty(n, d)
+        for d in dtypes
+    )
+    failed = _fork_join(work, out, pieces, workers) if shared else _fill(work, out, pieces)
+    if failed:
+        raise failed[1]
+    return out
 
 
 def _orbit_kernel(
@@ -243,19 +276,18 @@ def _orbit_kernel(
     at which the lift degenerated (0 if never), the nearest-component index
     over the tail window (-1 if unmeasured), and that best tail distance.
 
-    Columns run in pieces of at most ``_TILE`` on every usable CPU (see
-    ``_run_tiles``), so working memory is O(tile) per process beside the
+    Columns run in pieces of at most ``_TILE`` on every usable CPU, and the
+    arrays come back from ``_run_tiles``, which allocates them: in a shared
+    mapping that forked workers fill in place, or in this process when the
+    pieces run here.  Working memory is O(tile) per process beside the
     per-column results.  Each orbit keeps one streak counter and the cycle
     it counts toward, which assumes the target cycles are disjoint at the
     convergence tolerance; an orbit near two cycles at once raises
     ``InputError``.
     """
-    n = coords.shape[1]
     run = _tile_kernel(f, targets, max_iter, cfg)
     dtypes = (np.int64, np.int64, float, np.int64, np.int64, float)
-    out = tuple(np.empty(n, dtype=d) for d in dtypes)
-    _run_tiles(lambda lo, hi: run(coords[:, lo:hi]), out)
-    return out
+    return _run_tiles(lambda lo, hi: run(coords[:, lo:hi]), dtypes, coords.shape[1])
 
 
 def _accumulates(kernel_out: tuple[np.ndarray, ...], cfg: Config) -> np.ndarray:
@@ -589,11 +621,13 @@ def render_slice(
     pieces of at most one tile, as many as the CPUs share evenly while each
     keeps ``_MIN_PART`` pixels (see ``_run_tiles``): the default 128x128 runs
     as one piece per CPU.  Start points are built one piece at a time and
-    reduced to labels and iteration counts at once, so memory is O(tile)
-    plus those two per pixel.  When the map and the slice commute with the
-    column mirror (``orbits._column_mirror``), the map is evaluated once per
-    mirror pair of pixels in a piece, and every pixel still gets the label
-    and count it gets alone.
+    reduced to labels and iteration counts at once, which forked workers
+    write straight into the two per-pixel arrays that ``_run_tiles``
+    returns, so memory is O(tile) plus those two per pixel.  When the map
+    and the slice commute with the column mirror
+    (``orbits._column_mirror``), the map is evaluated once per mirror pair
+    of pixels in a piece, and every pixel still gets the label and count it
+    gets alone.
     """
     cfg = resolve(cfg)
     max_iter = cfg.max_orbit_iters if max_iter is None else max_iter
@@ -613,9 +647,8 @@ def render_slice(
         return labels, np.where(converged, conv_iter, max_iter).astype(np.int32)
 
     n_pix = spec.width * spec.height
-    labels = np.empty(n_pix, dtype=np.int16)
-    iterations = np.empty(n_pix, dtype=np.int32)
-    _run_tiles(_render_tiles(f, spec, targets, max_iter, cfg, classify), (labels, iterations))
+    work = _render_tiles(f, spec, targets, max_iter, cfg, classify)
+    labels, iterations = _run_tiles(work, (np.int16, np.int32), n_pix)
 
     legend = _legend_for(targets)
     summary = {

@@ -1,11 +1,17 @@
 """Orbit sampling, escape rates, and basin rendering."""
 
+import contextlib
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -817,27 +823,28 @@ def test_nearest_cycle_matches_a_brute_force_reference(name):
         assert str(err.value) == str(ref_err.value)
 
 
-def _pool_runs(monkeypatch):
-    """Record the worker count of every pool the kernel starts."""
-    from concurrent.futures import ProcessPoolExecutor
+def _fork_joins(monkeypatch):
+    """Record the (pieces, workers) of every fork-join the kernel runs."""
+    calls = []
+    fork_join = fatou._fork_join
 
-    runs = []
-    pool_map = ProcessPoolExecutor.map
+    def recorded(work, out, pieces, workers):
+        calls.append((list(pieces), workers))
+        return fork_join(work, out, pieces, workers)
 
-    def counted(self, *args, **kwargs):
-        runs.append(self._max_workers)
-        return pool_map(self, *args, **kwargs)
+    monkeypatch.setattr(fatou, "_fork_join", recorded)
+    return calls
 
-    monkeypatch.setattr(ProcessPoolExecutor, "map", counted)
-    return runs
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_pool_gives_the_serial_results(monkeypatch):
-    import multiprocessing
-
     f, T, cfg = f_map(), trapless("f"), resolve(None)
     spec = SliceSpec.default(2, width=24, height=24)
-    runs = _pool_runs(monkeypatch)
+    calls = _fork_joins(monkeypatch)
     monkeypatch.setattr(fatou, "_TILE", 100)  # 576 columns: 6 pieces of 96
     results = {}
     for cpus in (1, 2):
@@ -848,18 +855,16 @@ def test_worker_pool_gives_the_serial_results(monkeypatch):
             img.labels,
             img.iterations,
         )
-    assert runs == [2, 2]
+    assert [workers for _, workers in calls] == [2, 2]
     (kernel_1, *image_1), (kernel_2, *image_2) = results[1], results[2]
     digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in kernel_2)
     assert digests == _KERNEL_SHA256_F24
     for a, b in zip((*kernel_1, *image_1), (*kernel_2, *image_2)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_worker_clash_reaches_the_caller(monkeypatch):
-    import multiprocessing
-
     T = targets_for("f")
     i = cycle_index(T, pt(0, 0, 1))
     twice = TargetSet(
@@ -868,7 +873,7 @@ def test_worker_clash_reaches_the_caller(monkeypatch):
         components=T.components,
     )
     spec = SliceSpec.default(2, width=16, height=16)
-    runs = _pool_runs(monkeypatch)
+    calls = _fork_joins(monkeypatch)
     monkeypatch.setattr(fatou, "_TILE", 64)
     messages = []
     for cpus in (1, 2):
@@ -876,21 +881,152 @@ def test_worker_clash_reaches_the_caller(monkeypatch):
         with pytest.raises(InputError) as err:
             render_slice(f_map(), spec, twice)
         messages.append(str(err.value))
-    assert runs == [2]
+    assert [workers for _, workers in calls] == [2]
     assert messages[0] == messages[1]
     assert f"cycles {i} and {len(T.cycles)}" in messages[0]
-    assert multiprocessing.active_children() == []
+    _no_child_left()
 
 
 def test_a_dead_worker_fails_the_call(monkeypatch):
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool
-
     monkeypatch.setattr(fatou, "_cpus", lambda: 2)
-    out = (np.zeros(3 * fatou._TILE),)
-    with pytest.raises(BrokenProcessPool):
-        fatou._run_tiles(lambda lo, hi: os._exit(1), out)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match="wait status 256"):
+        fatou._run_tiles(lambda lo, hi: os._exit(1), (float,), 3 * fatou._TILE)
+    _no_child_left()
+
+
+class _Deadline(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``_Deadline`` in this process if the block is still running after ``seconds``."""
+
+    def expire(signum, frame):
+        raise _Deadline
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _zeros_failing_at(errors):
+    """A ``work`` that fills zeros, but raises ``errors[lo]`` in a piece starting at such an lo."""
+
+    def work(lo, hi):
+        if lo in errors:
+            raise errors[lo]
+        return (np.zeros(hi - lo),)
+
+    return work
+
+
+@pytest.mark.parametrize(
+    "error",
+    [KeyboardInterrupt(), SystemExit(0), ValueError(lambda: None)],
+    ids=["KeyboardInterrupt", "SystemExit", "unpicklable"],
+)
+def test_a_worker_that_leaves_without_a_record_fails_the_call(monkeypatch, error):
+    # each ends the worker before it can pickle a record; none may leave the
+    # piece's zeros behind as a result
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    n = 4 * fatou._TILE  # four pieces, two a worker
+    with _deadline(60), pytest.raises(RuntimeError, match="wait status 256"):
+        fatou._run_tiles(_zeros_failing_at({3 * fatou._TILE: error}), (float,), n)
+    _no_child_left()
+
+
+def test_a_long_error_reaches_the_caller(monkeypatch):
+    # a record far beyond a pipe's buffer: the worker blocks until it is read
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    message = "x" * 300_000
+    work = _zeros_failing_at({fatou._TILE: ValueError(message)})
+    with _deadline(60), pytest.raises(ValueError) as err:
+        fatou._run_tiles(work, (float,), 4 * fatou._TILE)
+    assert str(err.value) == message
+    _no_child_left()
+
+
+def test_the_lowest_failed_piece_is_raised(monkeypatch):
+    # three workers: pieces 0 and 3 go to worker 0, pieces 1 and 4 to worker
+    # 1, so pieces 1 and 3 fail in different workers, and the first worker
+    # read holds the later piece
+    monkeypatch.setattr(fatou, "_cpus", lambda: 3)
+    monkeypatch.setattr(fatou, "_TILE", 8)
+    calls = _fork_joins(monkeypatch)
+    work = _zeros_failing_at({lo: ValueError(f"piece at {lo}") for lo in (8, 24)})
+    with _deadline(60), pytest.raises(ValueError, match="piece at 8"):
+        fatou._run_tiles(work, (float,), 48)
+    assert calls == [([(lo, lo + 8) for lo in range(0, 48, 8)], 3)]
+    _no_child_left()
+
+
+def test_an_interrupted_wait_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(_Deadline), _deadline(0.5):
+        fatou._run_tiles(lambda lo, hi: time.sleep(30), (float,), 4 * fatou._TILE)
+    assert time.monotonic() - start < 10
+    _no_child_left()
+
+
+def test_a_worker_that_cannot_fork_runs_here(monkeypatch, tmp_path):
+    # the second fork fails as it does when the system is out of processes:
+    # the render still ends, with the serial bytes, instead of reading as an
+    # output error
+    from critfin.cli import main
+
+    fork = os.fork
+    forks = []
+
+    def fork_once():
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    argv = ["render", "f", "--res", "128x128", "--iter", "40", "--out"]
+    monkeypatch.setattr(fatou, "_cpus", lambda: 1)
+    assert main([*argv, str(tmp_path / "serial.ppm")]) == 0
+    monkeypatch.setattr(fatou, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork_once)
+    with _deadline(60):
+        assert main([*argv, str(tmp_path / "forked.ppm")]) == 0
+    assert forks == [0, 1]
+    assert (tmp_path / "forked.ppm").read_bytes() == (tmp_path / "serial.ppm").read_bytes()
+    _no_child_left()
+
+
+def test_a_forked_render_writes_earlier_output_once():
+    # stdout is a buffered pipe, so the marker waits in its buffer while the
+    # workers fork; they leave without flushing it, and no pool machinery is
+    # loaded
+    script = """if True:
+        import io, os, sys, tempfile
+        import critfin.cli, critfin.fatou
+        assert isinstance(sys.stdout.buffer, io.BufferedWriter)
+        critfin.fatou._cpus = lambda: 2
+        print("before the render")
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["render", "f", "--res", "128x128", "--iter", "20", "--out", tmp + "/f.ppm"]
+            assert critfin.cli.main(argv) == 0
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+        print(*(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fatou.__file__))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    lines = done.stdout.decode().splitlines()
+    assert lines.count("before the render") == 1
+    assert lines[0] == "before the render" and lines[-2:] == ["no child left", ""]
 
 
 def test_render_memory_is_per_tile(monkeypatch):
@@ -910,35 +1046,18 @@ def test_render_memory_is_per_tile(monkeypatch):
         assert peak < 12e6, f"{name} render peaked at {peak / 1e6:.1f} MB"
 
 
-def _pool_batches(monkeypatch):
-    """Record the (lo, hi) pieces each pool map runs."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    batches = []
-    pool_map = ProcessPoolExecutor.map
-
-    def recorded(self, fn, pieces, **kwargs):
-        batches.append(list(pieces))
-        return pool_map(self, fn, batches[-1], **kwargs)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "map", recorded)
-    return batches
-
-
 def _serial_and_split(monkeypatch, f, coords, targets, max_iter, cfg):
     """The kernel arrays on 1 and on 2 CPUs, which must agree bit for bit,
-    and the pieces the 2-CPU run mapped over its pool."""
-    import multiprocessing
-
-    batches = _pool_batches(monkeypatch)
+    and the (pieces, workers) of the 2-CPU run's fork-joins."""
+    calls = _fork_joins(monkeypatch)
     arrays = {}
     for cpus in (1, 2):
         monkeypatch.setattr(fatou, "_cpus", lambda: cpus)
         arrays[cpus] = fatou._orbit_kernel(f, coords, targets, max_iter, cfg)
     for a, b in zip(arrays[1], arrays[2]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert multiprocessing.active_children() == []
-    return arrays[1], batches
+    _no_child_left()
+    return arrays[1], calls
 
 
 @pytest.mark.parametrize(
@@ -954,9 +1073,9 @@ def test_a_lone_tile_split_across_cpus_gives_the_serial_arrays(monkeypatch, name
     cfg = resolve(None)
     max_iter = max_iter or cfg.max_orbit_iters
     coords = SliceSpec.default(f.k, width=res, height=res).grid()
-    arrays, batches = _serial_and_split(monkeypatch, f, coords, targets_for(name), max_iter, cfg)
+    arrays, calls = _serial_and_split(monkeypatch, f, coords, targets_for(name), max_iter, cfg)
     n = res * res
-    assert batches == [[(0, n // 2), (n // 2, n)]]
+    assert calls == [([(0, n // 2), (n // 2, n)], 2)]
     if name == "lattes":
         cycle_idx, _, _, overflow, _, _ = arrays
         assert (cycle_idx < 0).all() and not overflow.any()
@@ -973,16 +1092,14 @@ def test_parts_that_retire_at_different_steps_give_the_serial_arrays(monkeypatch
     one = TargetSet(cycles=T.cycles[i : i + 1], classifications=T.classifications[i : i + 1])
     cfg = resolve(None).with_overrides(convergence_tol=0.01, convergence_window=2)
     coords = SliceSpec.default(1, width=128, height=128, center=(0.3, 0.2)).grid()
-    arrays, batches = _serial_and_split(monkeypatch, lattes_map(), coords, one, 100, cfg)
-    assert batches == [[(0, 8192), (8192, 16384)]]
+    arrays, calls = _serial_and_split(monkeypatch, lattes_map(), coords, one, 100, cfg)
+    assert calls == [([(0, 8192), (8192, 16384)], 2)]
     cycle_idx, conv_iter = arrays[:2]
-    firsts = {int(conv_iter[lo:hi][cycle_idx[lo:hi] >= 0].min()) for lo, hi in batches[0]}
+    firsts = {int(conv_iter[lo:hi][cycle_idx[lo:hi] >= 0].min()) for lo, hi in calls[0][0]}
     assert len(firsts) == 2 and min(firsts) == 2
 
 
 def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):
-    import multiprocessing
-
     T = targets_for("f")
     i = cycle_index(T, pt(0, 0, 1))
     twice = TargetSet(
@@ -990,12 +1107,12 @@ def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):
         classifications=T.classifications + [T.classifications[i]],
         components=T.components,
     )
-    batches = _pool_batches(monkeypatch)
+    calls = _fork_joins(monkeypatch)
     monkeypatch.setattr(fatou, "_cpus", lambda: 2)
     with pytest.raises(InputError, match=f"cycles {i} and {len(T.cycles)}"):
         render_slice(f_map(), SliceSpec.default(2, width=128, height=128), twice, max_iter=20)
-    assert [len(pieces) for pieces in batches] == [2]
-    assert multiprocessing.active_children() == []
+    assert [(len(pieces), workers) for pieces, workers in calls] == [(2, 2)]
+    _no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -1007,12 +1124,12 @@ def test_a_clash_in_a_part_reaches_the_caller(monkeypatch):
     ],
 )
 def test_a_render_is_cut_into_even_pieces_on_two_cpus(monkeypatch, name, width, height, size):
-    batches = _pool_batches(monkeypatch)
+    calls = _fork_joins(monkeypatch)
     monkeypatch.setattr(fatou, "_cpus", lambda: 2)
     f = _MAPS[name]()
     render_slice(f, SliceSpec.default(f.k, width=width, height=height), targets_for(name), 2)
     n = width * height
-    assert batches == [[(lo, lo + size) for lo in range(0, n, size)]]
+    assert calls == [([(lo, lo + size) for lo in range(0, n, size)], 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -144,3 +144,14 @@ def test_the_compile_peak_probe_lists_every_module():
     }
     assert {line[0] for line in lines} == modules
     assert all(len(line) == 3 and int(line[1]) <= int(line[2]) for line in lines)
+
+
+def test_the_stage_peak_probe_lists_every_stage():
+    # a helper run by hand (see the README's Tests section); this only checks
+    # the stages it reports on a small render, and asserts no RSS
+    probe = Path(__file__).with_name("stage_peak.py")
+    done = subprocess.run([sys.executable, str(probe), "32"], capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    lines = [line.split() for line in done.stdout.decode().splitlines()]
+    assert [line[0] for line in lines] == ["import", "build_targets", "render_slice", "write_ppm"]
+    assert all(len(line) == 3 for line in lines)
